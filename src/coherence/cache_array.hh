@@ -4,16 +4,18 @@
  *
  * The timing model only needs hit/miss decisions and victim lines, so
  * the array stores tags (line addresses), not data. Data for PM lines
- * lives functionally in the traces and in NvmContents.
+ * lives functionally in the traces and in NvmContents. Entries are
+ * zeroed on first touch (ZeroedArray), so the sets a run never maps to
+ * cost no memory.
  */
 
 #ifndef ASAP_COHERENCE_CACHE_ARRAY_HH
 #define ASAP_COHERENCE_CACHE_ARRAY_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "sim/log.hh"
+#include "sim/zeroed_array.hh"
 
 namespace asap
 {
@@ -132,7 +134,7 @@ class CacheArray
 
     unsigned numSets;
     unsigned numWays;
-    std::vector<Entry> entries;
+    ZeroedArray<Entry> entries;
     std::uint64_t useClock = 0;
 };
 

@@ -7,6 +7,10 @@
  * allocator with size-class free lists hands out regions. A disjoint
  * address range provides volatile allocations (locks, scratch state)
  * that never enter the persist path.
+ *
+ * The capacity reserves simulated addresses, not host memory: the
+ * store is zeroed on first touch (ZeroedArray), so resident memory is
+ * only the pages a workload actually writes or reads.
  */
 
 #ifndef ASAP_PM_PM_SPACE_HH
@@ -17,6 +21,7 @@
 #include <vector>
 
 #include "sim/log.hh"
+#include "sim/zeroed_array.hh"
 
 namespace asap
 {
@@ -37,8 +42,9 @@ isPmAddr(std::uint64_t addr)
 class PmSpace
 {
   public:
+    /** @param capacity_bytes simulated PM addresses to reserve */
     explicit PmSpace(std::size_t capacity_bytes = 64ull << 20)
-        : bytes(capacity_bytes, 0)
+        : bytes(capacity_bytes)
     {
     }
 
@@ -149,7 +155,7 @@ class PmSpace
         return bytes.data() + (addr - pmBase);
     }
 
-    std::vector<std::uint8_t> bytes;
+    ZeroedArray<std::uint8_t> bytes;
     std::size_t bump = 0;
     std::size_t vbump = 0;
     std::vector<std::vector<std::uint64_t>> freeLists;

@@ -37,9 +37,8 @@ TraceRecorder::setTraceOpCap(std::uint64_t cap)
     traceOpCapSlot() = cap;
 }
 
-TraceRecorder::TraceRecorder(unsigned num_threads, std::uint64_t seed,
-                             std::size_t pm_bytes)
-    : nThreads(num_threads), pm(pm_bytes), rng_(seed),
+TraceRecorder::TraceRecorder(unsigned num_threads, std::uint64_t seed)
+    : nThreads(num_threads), rng_(seed),
       traces(num_threads), releaseCount(num_threads, 0)
 {
     fatal_if(num_threads == 0, "recorder needs at least one thread");

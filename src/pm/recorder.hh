@@ -40,12 +40,13 @@ class TraceRecorder
 {
   public:
     /**
+     * The recorder's PmSpace reserves 64 MB of simulated PM addresses;
+     * resident memory is only the pages the workload touches.
+     *
      * @param num_threads logical threads to record
      * @param seed deterministic seed for value/key streams
-     * @param pm_bytes size of the simulated PM space
      */
-    TraceRecorder(unsigned num_threads, std::uint64_t seed,
-                  std::size_t pm_bytes = 64ull << 20);
+    TraceRecorder(unsigned num_threads, std::uint64_t seed);
 
     PmSpace &space() { return pm; }
     Rng &rng() { return rng_; }

@@ -123,8 +123,9 @@ TEST(Wpq, PointerStabilityUnderChurn)
         if (w.full())
             w.pop();
         w.insert(i % 24, i);
-        if (w.contains(i % 24))
+        if (w.contains(i % 24)) {
             EXPECT_EQ(w.pendingValue(i % 24), i);
+        }
     }
 }
 

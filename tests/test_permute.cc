@@ -219,9 +219,9 @@ TEST(PermuteCore, EngineParse)
     EXPECT_TRUE(permute::parsePermuteEngine("incremental", e));
     EXPECT_EQ(e, permute::Engine::Incremental);
     EXPECT_FALSE(permute::parsePermuteEngine("bogus", e));
-    EXPECT_EQ(permute::toString(permute::Engine::Naive), "naive");
-    EXPECT_EQ(permute::toString(permute::Engine::Incremental),
-              "incremental");
+    EXPECT_STREQ(permute::toString(permute::Engine::Naive), "naive");
+    EXPECT_STREQ(permute::toString(permute::Engine::Incremental),
+                 "incremental");
 }
 
 // ---------------------------------------------------- engine parity

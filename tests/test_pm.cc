@@ -1,12 +1,17 @@
 /**
  * @file
  * Unit tests for the PM software runtime: simulated PM space,
- * allocator, trace recorder (ops, fences, locks, sync edges) and the
- * release board.
+ * allocator, trace recorder (ops, fences, locks, sync edges), the
+ * release board, and the first-touch storage behind the PM space and
+ * the cache tag arrays.
  */
 
-#include <gtest/gtest.h>
+#include <fstream>
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include "coherence/cache_array.hh"
 #include "cpu/release_board.hh"
 #include "pm/pm_space.hh"
 #include "pm/recorder.hh"
@@ -83,6 +88,37 @@ TEST(PmSpaceDeath, ExhaustionIsFatal)
                 pm.alloc(64);
         },
         "exhausted");
+}
+
+// ------------------------------------------------- first-touch storage
+
+/** Resident set size of this process in bytes. */
+std::size_t
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    std::size_t total_pages = 0, resident_pages = 0;
+    statm >> total_pages >> resident_pages;
+    return resident_pages * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(FirstTouchStorage, UntouchedCapacityIsNotResident)
+{
+    const std::size_t before = residentBytes();
+    ASSERT_GT(before, 0u) << "cannot read /proc/self/statm";
+    PmSpace pm;
+    TraceRecorder rec(4, 1);
+    EXPECT_LT(residentBytes(), before + (8u << 20))
+        << "two 64 MB PM spaces must not be faulted in up front";
+
+    const std::uint64_t last = pmBase + (64ull << 20) - 1;
+    EXPECT_EQ(pm.read8(pmBase), 0);
+    EXPECT_EQ(pm.read8(last), 0);
+    EXPECT_EQ(rec.space().read8(pmBase), 0);
+    EXPECT_EQ(rec.space().read8(last), 0);
+
+    const CacheArray llc(16384, 16);
+    EXPECT_EQ(llc.population(), 0u);
 }
 
 // -------------------------------------------------------------- recorder

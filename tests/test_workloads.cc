@@ -294,8 +294,9 @@ TEST_P(TraceWellFormed, Invariants)
                 }
                 break;
               case OpType::Load:
-                if (op.isPm)
+                if (op.isPm) {
                     EXPECT_TRUE(isPmAddr(op.addr));
+                }
                 break;
               case OpType::Acquire:
                 ++lock_depth;
