@@ -38,8 +38,6 @@ struct CampaignArgs
     std::uint64_t tickSeed = 1;
     unsigned cores = 4;
     std::string models = "asap_ep,asap_rp"; //!< comma-separated
-    unsigned parDomains = 1;        //!< intra-run kernel parallelism
-    std::uint64_t parSpecWindow = 0; //!< speculative window (ticks)
 
     bool repro = false;   //!< single-crash-point replay mode
     std::string model = "asap";
@@ -65,8 +63,7 @@ usage(const char *argv0)
         "[--list-strategies]\n"
         "          [--tick-seed S] [--cores N] [--models "
         "m1_pm1,m2_pm2,...]\n"
-        "          [--progress] [--daemon SOCKET] "
-        "[--par-domains N] [--par-spec-window T]\n"
+        "          [--progress] [--daemon SOCKET]\n"
         "          [--shard i/n [--claim] [--salt S] "
         "[--lease-ttl SEC]]\n"
         "       %s --repro --workload W [--media P] --model M --pm P "
@@ -127,11 +124,6 @@ parseArgs(int argc, char **argv)
             a.cores = unsigned(std::strtoul(need(i), nullptr, 0)), ++i;
         else if (!std::strcmp(arg, "--models"))
             a.models = need(i), ++i;
-        else if (!std::strcmp(arg, "--par-domains"))
-            a.parDomains =
-                unsigned(std::strtoul(need(i), nullptr, 0)), ++i;
-        else if (!std::strcmp(arg, "--par-spec-window"))
-            a.parSpecWindow = std::strtoull(need(i), nullptr, 0), ++i;
         else if (!std::strcmp(arg, "--repro"))
             a.repro = true;
         else if (!std::strcmp(arg, "--model"))
@@ -226,8 +218,6 @@ runRepro(const CampaignArgs &a)
     cfg.persistency = parsePersistencyModel(a.pm);
     cfg.numCores = a.cores;
     cfg.seed = a.seed;
-    cfg.parDomains = a.parDomains;
-    cfg.parSpecWindow = a.parSpecWindow;
 
     JobSet set;
     set.addCrash(a.workload, cfg, paramsFor(a), a.crashTick);
@@ -259,8 +249,6 @@ runCampaignMode(const CampaignArgs &a, const BenchArgs &emitArgs)
     spec.coreCounts = {a.cores};
     spec.params = paramsFor(a);
     spec.base.mediaProfile = a.media;
-    spec.base.parDomains = a.parDomains;
-    spec.base.parSpecWindow = a.parSpecWindow;
     spec.strategy = parseTickStrategy(a.strategy);
     spec.ticksPerConfig = a.ticks;
     spec.tickSeed = a.tickSeed;

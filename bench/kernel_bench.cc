@@ -9,13 +9,6 @@
  * exercises nothing but EventQueue::scheduleAfter/run to isolate the
  * kernel's own overhead from model code.
  *
- * The --par-domains axis re-runs every pair under the domain-parallel
- * engine and reports the scaling curve; simulated results are
- * bit-identical across the axis (that is tested elsewhere — here only
- * the host clock changes). With --par-spec-window > 0 the MC domains
- * speculate past their conservative bounds and the misspec/rollback
- * columns record how often that bet failed.
- *
  * Everything here is wall-clock derived and therefore
  * non-deterministic; the table goes to stdout and the artifact
  * (default BENCH_kernel.json) is a perf record, unlike the figure
@@ -24,8 +17,6 @@
  *   --ops N             operations per thread (default 400)
  *   --reps N            repetitions per pair, best-of (default 5)
  *   --workload W        restrict to one workload (default: cceh,dash-lh,queue)
- *   --par-domains LIST  comma list of parallelism degrees (default 1,2,4)
- *   --par-spec-window T speculative window for parallel rows (default 0)
  *   --json PATH         artifact path (default BENCH_kernel.json; "" = none)
  */
 
@@ -61,10 +52,7 @@ struct Row
 {
     std::string workload;
     std::string model;
-    unsigned parDomains = 1;
     std::uint64_t events = 0;
-    std::uint64_t misspec = 0;
-    std::uint64_t rollbacks = 0;
     double bestNs = 0.0;
 
     double
@@ -113,24 +101,6 @@ kernelChainRow(unsigned reps)
     return row;
 }
 
-std::vector<unsigned>
-parseParList(const char *arg)
-{
-    std::vector<unsigned> out;
-    const char *p = arg;
-    while (*p != '\0') {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(p, &end, 0);
-        if (end == p || v == 0)
-            return {};
-        out.push_back(static_cast<unsigned>(v));
-        p = (*end == ',') ? end + 1 : end;
-        if (*end != '\0' && *end != ',')
-            return {};
-    }
-    return out;
-}
-
 } // namespace
 
 int
@@ -141,8 +111,6 @@ main(int argc, char **argv)
     unsigned reps = 5;
     std::string only;
     std::string jsonPath = "BENCH_kernel.json";
-    std::vector<unsigned> parList = {1, 2, 4};
-    Tick specWindow = 0;
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--ops") && i + 1 < argc) {
             ops = static_cast<unsigned>(
@@ -152,25 +120,12 @@ main(int argc, char **argv)
                 std::strtoul(argv[++i], nullptr, 0));
         } else if (!std::strcmp(argv[i], "--workload") && i + 1 < argc) {
             only = argv[++i];
-        } else if (!std::strcmp(argv[i], "--par-domains") &&
-                   i + 1 < argc) {
-            parList = parseParList(argv[++i]);
-            if (parList.empty()) {
-                std::fprintf(stderr,
-                             "error: --par-domains wants a comma list "
-                             "of positive integers\n");
-                return 2;
-            }
-        } else if (!std::strcmp(argv[i], "--par-spec-window") &&
-                   i + 1 < argc) {
-            specWindow = std::strtoull(argv[++i], nullptr, 0);
         } else if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {
             jsonPath = argv[++i];
         } else {
             std::fprintf(stderr,
                          "usage: %s [--ops N] [--reps N] "
-                         "[--workload W] [--par-domains LIST] "
-                         "[--par-spec-window T] [--json PATH]\n",
+                         "[--workload W] [--json PATH]\n",
                          argv[0]);
             return 2;
         }
@@ -196,49 +151,38 @@ main(int argc, char **argv)
         p.opsPerThread = ops;
         const TraceSet trace = buildTrace(w, 4, p);
         for (const auto &[kind, pm] : models) {
-            for (unsigned par : parList) {
-                Row row;
-                row.workload = w;
-                row.model = toString(kind);
-                row.parDomains = par;
-                for (unsigned r = 0; r < reps; ++r) {
-                    SimConfig cfg;
-                    cfg.model = kind;
-                    cfg.persistency = pm;
-                    // Four MC domains so the axis has room to scale.
-                    cfg.numMCs = 4;
-                    cfg.parDomains = par;
-                    cfg.parSpecWindow = par > 1 ? specWindow : 0;
-                    System sys(cfg);
-                    sys.loadTrace(trace);
-                    const double t0 = nowNs();
-                    sys.run();
-                    const double ns = nowNs() - t0;
-                    if (row.bestNs == 0.0 || ns < row.bestNs)
-                        row.bestNs = ns;
-                    row.events = sys.eventQueue().executed();
-                    row.misspec = sys.eventQueue().misspeculations();
-                    row.rollbacks = sys.eventQueue().rollbacks();
-                }
-                rows.push_back(row);
+            Row row;
+            row.workload = w;
+            row.model = toString(kind);
+            for (unsigned r = 0; r < reps; ++r) {
+                SimConfig cfg;
+                cfg.model = kind;
+                cfg.persistency = pm;
+                // Four MCs, as in every earlier record of this bench.
+                cfg.numMCs = 4;
+                System sys(cfg);
+                sys.loadTrace(trace);
+                const double t0 = nowNs();
+                sys.run();
+                const double ns = nowNs() - t0;
+                if (row.bestNs == 0.0 || ns < row.bestNs)
+                    row.bestNs = ns;
+                row.events = sys.eventQueue().executed();
             }
+            rows.push_back(row);
         }
     }
     rows.push_back(kernelChainRow(reps));
 
     std::printf("=== Event-kernel throughput (best of %u reps, "
-                "--ops %u, spec window %llu) ===\n", reps, ops,
-                static_cast<unsigned long long>(specWindow));
-    std::printf("%-12s %-9s %4s %10s %10s %9s %8s %8s\n", "workload",
-                "model", "par", "events", "hostMs", "Mev/s", "misspec",
-                "rollback");
+                "--ops %u) ===\n", reps, ops);
+    std::printf("%-12s %-9s %10s %10s %9s\n", "workload", "model",
+                "events", "hostMs", "Mev/s");
     for (const Row &r : rows) {
-        std::printf("%-12s %-9s %4u %10llu %10.2f %9.2f %8llu %8llu\n",
-                    r.workload.c_str(), r.model.c_str(), r.parDomains,
+        std::printf("%-12s %-9s %10llu %10.2f %9.2f\n",
+                    r.workload.c_str(), r.model.c_str(),
                     static_cast<unsigned long long>(r.events),
-                    r.bestNs / 1e6, r.eventsPerSec() / 1e6,
-                    static_cast<unsigned long long>(r.misspec),
-                    static_cast<unsigned long long>(r.rollbacks));
+                    r.bestNs / 1e6, r.eventsPerSec() / 1e6);
     }
 
     if (!jsonPath.empty()) {
@@ -249,16 +193,12 @@ main(int argc, char **argv)
             return 1;
         }
         os << "{ \"bench\": \"kernel\", \"ops\": " << ops
-           << ", \"reps\": " << reps << ", \"specWindow\": "
-           << specWindow << ", \"rows\": [\n";
+           << ", \"reps\": " << reps << ", \"rows\": [\n";
         for (std::size_t i = 0; i < rows.size(); ++i) {
             const Row &r = rows[i];
             os << "  { \"workload\": \"" << r.workload
                << "\", \"model\": \"" << r.model
-               << "\", \"parDomains\": " << r.parDomains
-               << ", \"events\": " << r.events
-               << ", \"misspec\": " << r.misspec
-               << ", \"rollbacks\": " << r.rollbacks
+               << "\", \"events\": " << r.events
                << ", \"bestNs\": " << static_cast<std::uint64_t>(r.bestNs)
                << ", \"eventsPerSec\": "
                << static_cast<std::uint64_t>(r.eventsPerSec()) << " }"

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -42,25 +43,6 @@ std::atomic<std::uint64_t> profTraceLoadNs{0};
 std::atomic<std::uint64_t> profSimulateNs{0};
 std::atomic<std::uint64_t> profCheckNs{0};
 std::atomic<std::uint64_t> profSimRuns{0};
-std::atomic<std::uint64_t> profParRounds{0};
-std::atomic<std::uint64_t> profSerialRounds{0};
-std::atomic<std::uint64_t> profMisspeculations{0};
-std::atomic<std::uint64_t> profRollbacks{0};
-std::atomic<std::uint64_t> profTaintRestarts{0};
-
-/** Fold one finished system's kernel telemetry into the process-wide
- *  profile counters. */
-void
-accountKernel(const EventQueue &eq)
-{
-    profParRounds.fetch_add(eq.parallelRounds(),
-                            std::memory_order_relaxed);
-    profSerialRounds.fetch_add(eq.serialRounds(),
-                               std::memory_order_relaxed);
-    profMisspeculations.fetch_add(eq.misspeculations(),
-                                  std::memory_order_relaxed);
-    profRollbacks.fetch_add(eq.rollbacks(), std::memory_order_relaxed);
-}
 
 /** Record the trace a job replays (microbenches are not registry
  *  workloads, so they are special-cased here). */
@@ -265,6 +247,47 @@ extractResult(System &sys, const std::string &workload,
     return r;
 }
 
+/**
+ * The part every crash job shares: build the system, crash it at
+ * @p crash_tick under the simulate timer (@p at_crash runs at the
+ * instant of failure, see System::crashAt), and fill @p out's stats
+ * and the verdict fields that do not depend on the checker. Returns
+ * the crashed system for the caller's check.
+ */
+std::unique_ptr<System>
+crashJob(const std::string &workload, const SimConfig &cfg,
+         const WorkloadParams &p, Tick crash_tick,
+         const std::function<void(System &)> &at_crash,
+         CrashRunResult &out)
+{
+    auto sys = std::make_unique<System>(cfg, /*keep_run_log=*/true);
+    sys->loadTrace(obtainJobTrace(workload, cfg, p));
+    const std::uint64_t t0 = hostNowNs();
+    sys->crashAt(crash_tick, [&at_crash, &sys] {
+        if (at_crash)
+            at_crash(*sys);
+    });
+    const std::uint64_t simNs = hostNowNs() - t0;
+    profSimulateNs.fetch_add(simNs, std::memory_order_relaxed);
+    profSimRuns.fetch_add(1, std::memory_order_relaxed);
+
+    out.run = extractResult(*sys, workload, cfg);
+    out.run.hostNs = simNs;
+    CrashVerdict &v = out.verdict;
+    v.crashTick = crash_tick;
+    v.actualTick = sys->runTicks();
+    v.committedUpTo = sys->committedUpTo();
+    v.storesLogged = sys->runLog().allStores().size();
+    for (const auto &[line, value] : sys->nvm().all()) {
+        (void)line;
+        if (value != 0)
+            ++v.linesSurvived;
+    }
+    v.undoReplayed = sys->stats().get("mc.undoRewindWrites");
+    v.adrDrainWrites = sys->stats().get("mc.adrDrainWrites");
+    return sys;
+}
+
 } // namespace
 
 TraceCacheStats
@@ -318,12 +341,6 @@ hostProfile()
     hp.simulateNs = profSimulateNs.load(std::memory_order_relaxed);
     hp.checkNs = profCheckNs.load(std::memory_order_relaxed);
     hp.simRuns = profSimRuns.load(std::memory_order_relaxed);
-    hp.parRounds = profParRounds.load(std::memory_order_relaxed);
-    hp.serialRounds = profSerialRounds.load(std::memory_order_relaxed);
-    hp.misspeculations =
-        profMisspeculations.load(std::memory_order_relaxed);
-    hp.rollbacks = profRollbacks.load(std::memory_order_relaxed);
-    hp.taintRestarts = profTaintRestarts.load(std::memory_order_relaxed);
     return hp;
 }
 
@@ -331,54 +348,30 @@ RunResult
 runExperiment(const std::string &workload, const SimConfig &cfg,
               const WorkloadParams &p)
 {
-    SimConfig runCfg = cfg;
-    unsigned restarts = 0;
-    const bool serve = isServeWorkload(workload);
-    for (;;) {
-        System sys(runCfg);
-        // Streaming scenarios never materialize: cores pull ops out of
-        // the generator as they retire, so RSS is bounded by the
-        // keyspace footprint however many requests the run serves.
-        std::unique_ptr<ServeStream> stream;
-        if (serve) {
-            stream = std::make_unique<ServeStream>(
-                findServeScenario(workload), runCfg.numCores, p);
-            sys.loadStream(*stream);
-        } else {
-            sys.loadTrace(obtainJobTrace(workload, runCfg, p));
-        }
-        const std::uint64_t t0 = hostNowNs();
-        const bool finished = sys.run();
-        const std::uint64_t simNs = hostNowNs() - t0;
-        const EventQueue &eq = sys.eventQueue();
-        if (eq.tainted() && runCfg.parDomains > 1) {
-            // A synchronous cross-domain access raced the parallel
-            // round; every observable result is suspect. Discard the
-            // whole system and rerun with the sequential engine —
-            // correctness never depends on the race not happening.
-            warn("parallel run tainted (", eq.taintReason(),
-                 "); rerunning sequentially");
-            profTaintRestarts.fetch_add(1, std::memory_order_relaxed);
-            ++restarts;
-            runCfg.parDomains = 1;
-            continue;
-        }
-        if (!finished)
-            warn("experiment ", workload, " did not finish");
-        profSimulateNs.fetch_add(simNs, std::memory_order_relaxed);
-        profSimRuns.fetch_add(1, std::memory_order_relaxed);
-        accountKernel(eq);
-        RunResult r = extractResult(sys, workload, cfg);
-        if (stream)
-            r.serveRequests = stream->requestsGenerated();
-        r.hostNs = simNs;
-        r.parDomains = eq.parallel() ? runCfg.parDomains : 1;
-        r.parRounds = eq.parallelRounds();
-        r.specMisspeculations = eq.misspeculations();
-        r.specRollbacks = eq.rollbacks();
-        r.parRestarts = restarts;
-        return r;
+    System sys(cfg);
+    // Streaming scenarios never materialize: cores pull ops out of the
+    // generator as they retire, so RSS is bounded by the keyspace
+    // footprint however many requests the run serves.
+    std::unique_ptr<ServeStream> stream;
+    if (isServeWorkload(workload)) {
+        stream = std::make_unique<ServeStream>(findServeScenario(workload),
+                                               cfg.numCores, p);
+        sys.loadStream(*stream);
+    } else {
+        sys.loadTrace(obtainJobTrace(workload, cfg, p));
     }
+    const std::uint64_t t0 = hostNowNs();
+    const bool finished = sys.run();
+    const std::uint64_t simNs = hostNowNs() - t0;
+    if (!finished)
+        warn("experiment ", workload, " did not finish");
+    profSimulateNs.fetch_add(simNs, std::memory_order_relaxed);
+    profSimRuns.fetch_add(1, std::memory_order_relaxed);
+    RunResult r = extractResult(sys, workload, cfg);
+    if (stream)
+        r.serveRequests = stream->requestsGenerated();
+    r.hostNs = simNs;
+    return r;
 }
 
 RunResult
@@ -398,62 +391,18 @@ CrashRunResult
 runCrashExperiment(const std::string &workload, const SimConfig &cfg,
                    const WorkloadParams &p, Tick crash_tick)
 {
-    SimConfig runCfg = cfg;
-    unsigned restarts = 0;
-    std::unique_ptr<System> sysPtr;
-    std::uint64_t simNs = 0;
-    for (;;) {
-        sysPtr = std::make_unique<System>(runCfg, /*keep_run_log=*/true);
-        sysPtr->loadTrace(obtainJobTrace(workload, runCfg, p));
-        const std::uint64_t t0 = hostNowNs();
-        sysPtr->crashAt(crash_tick);
-        simNs = hostNowNs() - t0;
-        if (sysPtr->eventQueue().tainted() && runCfg.parDomains > 1) {
-            warn("parallel crash run tainted (",
-                 sysPtr->eventQueue().taintReason(),
-                 "); rerunning sequentially");
-            profTaintRestarts.fetch_add(1, std::memory_order_relaxed);
-            ++restarts;
-            runCfg.parDomains = 1;
-            continue;
-        }
-        break;
-    }
-    System &sys = *sysPtr;
-    profSimulateNs.fetch_add(simNs, std::memory_order_relaxed);
-    profSimRuns.fetch_add(1, std::memory_order_relaxed);
-    accountKernel(sys.eventQueue());
-
     CrashRunResult out;
-    out.run = extractResult(sys, workload, cfg);
-    out.run.hostNs = simNs;
-    out.run.parDomains =
-        sys.eventQueue().parallel() ? runCfg.parDomains : 1;
-    out.run.parRounds = sys.eventQueue().parallelRounds();
-    out.run.specMisspeculations = sys.eventQueue().misspeculations();
-    out.run.specRollbacks = sys.eventQueue().rollbacks();
-    out.run.parRestarts = restarts;
-
+    const std::unique_ptr<System> sys =
+        crashJob(workload, cfg, p, crash_tick, {}, out);
     CrashVerdict &v = out.verdict;
-    v.crashTick = crash_tick;
-    v.actualTick = sys.runTicks();
-    v.committedUpTo = sys.committedUpTo();
-    v.storesLogged = sys.runLog().allStores().size();
-    for (const auto &[line, value] : sys.nvm().all()) {
-        (void)line;
-        if (value != 0)
-            ++v.linesSurvived;
-    }
-    v.undoReplayed = sys.stats().get("mc.undoRewindWrites");
-    v.adrDrainWrites = sys.stats().get("mc.adrDrainWrites");
 
     // Check through the shared index: a permute job probing the same
     // tick (same log) reuses this build instead of re-indexing.
     const std::uint64_t c0 = hostNowNs();
     const std::shared_ptr<const CheckerIndex> index =
-        sharedCheckerIndex(sys.runLog());
+        sharedCheckerIndex(sys->runLog());
     const CheckResult check =
-        index->check(NvmView(sys.nvm()), v.committedUpTo);
+        index->check(NvmView(sys->nvm()), v.committedUpTo);
     profCheckNs.fetch_add(hostNowNs() - c0, std::memory_order_relaxed);
     v.consistent = check.ok;
     v.message = check.message;
@@ -482,85 +431,38 @@ runPermuteExperiment(const std::string &workload, const SimConfig &cfg,
              permute::permuteEngineNames(), ")");
     opt.threads = spec.threads;
 
-    SimConfig runCfg = cfg;
-    unsigned restarts = 0;
-    std::unique_ptr<System> sysPtr;
-    std::uint64_t simNs = 0;
+    // Harvest the live persist-path state at the instant of failure:
+    // record views and durable line values are consumed (erased,
+    // drained, rewound) by the canonical crash path that runs right
+    // after this hook.
     permute::PermuteSnapshot snap;
-    for (;;) {
-        sysPtr = std::make_unique<System>(runCfg, /*keep_run_log=*/true);
-        sysPtr->loadTrace(obtainJobTrace(workload, runCfg, p));
-        snap = permute::PermuteSnapshot{};
-        // Harvest the live persist-path state at the instant of
-        // failure: record views and durable line values are consumed
-        // (erased, drained, rewound) by the canonical crash path that
-        // runs right after this hook.
-        System *rawSys = sysPtr.get();
-        SimConfig *rawCfg = &runCfg;
-        const std::uint64_t t0 = hostNowNs();
-        sysPtr->crashAt(crash_tick, [&snap, rawSys, rawCfg]() {
-            for (unsigned i = 0; i < rawCfg->numMCs; ++i) {
-                MemoryController &mc = rawSys->mc(i);
-                permute::McSnapshot ms;
-                ms.mc = i;
-                if (const RecoveryPolicy *pol = mc.policy())
-                    pol->exportRecords(ms.undos, ms.delays);
-                ms.wpqLines = mc.wpqSnapshot().size();
-                for (const UndoRecordView &u : ms.undos)
-                    snap.durableAtCrash[u.line] = mc.durableValue(u.line);
-                for (const DelayRecordView &d : ms.delays)
-                    snap.durableAtCrash.emplace(d.line,
-                                                mc.durableValue(d.line));
-                snap.mcs.push_back(std::move(ms));
-            }
-            for (std::uint16_t t = 0; t < rawCfg->numCores; ++t)
-                for (std::uint64_t e :
-                     rawSys->model(t).commitInFlightEpochs())
-                    snap.inFlight.emplace_back(t, e);
-        });
-        simNs = hostNowNs() - t0;
-        if (sysPtr->eventQueue().tainted() && runCfg.parDomains > 1) {
-            warn("parallel permute run tainted (",
-                 sysPtr->eventQueue().taintReason(),
-                 "); rerunning sequentially");
-            profTaintRestarts.fetch_add(1, std::memory_order_relaxed);
-            ++restarts;
-            runCfg.parDomains = 1;
-            continue;
+    auto harvest = [&snap, &cfg](System &sys) {
+        for (unsigned i = 0; i < cfg.numMCs; ++i) {
+            MemoryController &mc = sys.mc(i);
+            permute::McSnapshot ms;
+            ms.mc = i;
+            if (const RecoveryPolicy *pol = mc.policy())
+                pol->exportRecords(ms.undos, ms.delays);
+            ms.wpqLines = mc.wpqSnapshot().size();
+            for (const UndoRecordView &u : ms.undos)
+                snap.durableAtCrash[u.line] = mc.durableValue(u.line);
+            for (const DelayRecordView &d : ms.delays)
+                snap.durableAtCrash.emplace(d.line,
+                                            mc.durableValue(d.line));
+            snap.mcs.push_back(std::move(ms));
         }
-        break;
-    }
-    System &sys = *sysPtr;
-    profSimulateNs.fetch_add(simNs, std::memory_order_relaxed);
-    profSimRuns.fetch_add(1, std::memory_order_relaxed);
-    accountKernel(sys.eventQueue());
-
+        for (std::uint16_t t = 0; t < cfg.numCores; ++t)
+            for (std::uint64_t e : sys.model(t).commitInFlightEpochs())
+                snap.inFlight.emplace_back(t, e);
+    };
     CrashRunResult out;
-    out.run = extractResult(sys, workload, cfg);
-    out.run.hostNs = simNs;
-    out.run.parDomains =
-        sys.eventQueue().parallel() ? runCfg.parDomains : 1;
-    out.run.parRounds = sys.eventQueue().parallelRounds();
-    out.run.specMisspeculations = sys.eventQueue().misspeculations();
-    out.run.specRollbacks = sys.eventQueue().rollbacks();
-    out.run.parRestarts = restarts;
-
+    const std::unique_ptr<System> sys =
+        crashJob(workload, cfg, p, crash_tick, harvest, out);
     CrashVerdict &v = out.verdict;
-    v.crashTick = crash_tick;
-    v.actualTick = sys.runTicks();
-    v.committedUpTo = sys.committedUpTo();
-    v.storesLogged = sys.runLog().allStores().size();
-    for (const auto &[line, value] : sys.nvm().all()) {
-        (void)line;
-        if (value != 0)
-            ++v.linesSurvived;
-    }
-    v.undoReplayed = sys.stats().get("mc.undoRewindWrites");
-    v.adrDrainWrites = sys.stats().get("mc.adrDrainWrites");
 
     const std::uint64_t c0 = hostNowNs();
     const permute::PermuteReport rep = permute::permuteAndCheck(
-        snap, opt, sys.nvm(), sys.runLog(), v.committedUpTo);
+        snap, opt, sys->nvm(), sys->runLog(), v.committedUpTo);
     const std::uint64_t checkNs = hostNowNs() - c0;
     profCheckNs.fetch_add(checkNs, std::memory_order_relaxed);
     v.permuteNs = checkNs;

@@ -18,29 +18,6 @@ System::System(const SimConfig &cfg_in, bool keep_run_log)
     fatal_if(cfg.numCores == 0, "need at least one core");
     fatal_if(cfg.numMCs > 32, "earlyMcMask supports at most 32 MCs");
 
-    if (cfg.parDomains > 1) {
-        // Cross-domain latency floors for the conservative lookahead
-        // (src/sim/README.md): every core→MC send pays at least the
-        // persist-buffer flush link — except ASAP's commit messages,
-        // which ride the shorter mcMessageLatency hop. Every MC→core
-        // reply (ACK/NACK/commit-ACK) pays at least mcMessageLatency.
-        const Tick coreToMc =
-            cfg.model == ModelKind::Asap
-                ? std::min(cfg.pbFlushLatency, cfg.mcMessageLatency)
-                : cfg.pbFlushLatency;
-        const Tick mcToCore = cfg.mcMessageLatency;
-        if (coreToMc > 0 && mcToCore > 0) {
-            eq.configureParallel(
-                cfg.numMCs, std::min(cfg.parDomains, cfg.numMCs + 1),
-                coreToMc, mcToCore, cfg.parSpecWindow);
-            // Per-MC event windows write disjoint media shards.
-            media.configureShards(
-                cfg.numMCs, [map = &amap](std::uint64_t line) {
-                    return map->mcFor(line);
-                });
-        }
-    }
-
     for (unsigned i = 0; i < cfg.numMCs; ++i) {
         mcOwners.push_back(std::make_unique<MemoryController>(
             i, cfg, eq, media, stats_));
@@ -51,64 +28,16 @@ System::System(const SimConfig &cfg_in, bool keep_run_log)
         for (unsigned i = 0; i < cfg.numMCs; ++i) {
             rts.push_back(std::make_unique<RecoveryTable>(
                 i, cfg.rtEntries, stats_));
-            rts.back()->attachKernel(&eq, !eq.parallel());
             mcs[i]->setPolicy(rts.back().get());
         }
-    }
-
-    if (eq.parallel()) {
-        // MC domains may speculate past their conservative bound only
-        // when their state can roll back; register the checkpoints.
-        for (unsigned i = 0; i < cfg.numMCs; ++i) {
-            MemoryController *mc = mcs[i];
-            eq.setCheckpointHooks(
-                EventQueue::mcDomain(i), [mc]() { mc->specSave(); },
-                [mc]() { mc->specRestore(); },
-                [mc]() { mc->specDiscard(); });
-        }
-        // Two hazards force exact serial order between rounds: a
-        // non-empty NACK filter (the core-side eviction filter probes
-        // MC-domain state synchronously) and a commit-release write
-        // parked in an overflow queue (its ACK countdown spans
-        // domains, see MemoryController::receiveCommit).
-        eq.setSerialPredicate([this]() {
-            for (auto &rt : rts) {
-                if (rt->nackCountRelaxed() != 0)
-                    return true;
-            }
-            for (MemoryController *mc : mcs) {
-                if (mc->commitReleasePending() != 0)
-                    return true;
-            }
-            return false;
-        });
     }
 
     caches = std::make_unique<CacheHierarchy>(cfg, stats_);
     if (!rts.empty()) {
         // LLC evictions of lines with NACK-pending flushes are delayed
-        // (Section V-F): probe every controller's Bloom filter. Under
-        // the parallel engine the probe reads MC-domain state from the
-        // core domain; the published NACK count makes the empty case
-        // (by far the common one) safely answerable from any thread,
-        // and the serial predicate above keeps execution serial
-        // whenever a filter is non-empty. A non-zero count observed
-        // mid-round can only mean the round raced an insertion, so it
-        // taints the run (discard + sequential rerun).
+        // (Section V-F): probe the owning controller's Bloom filter.
         caches->setEvictFilter([this](std::uint64_t line) {
-            const unsigned mc = amap.mcFor(line);
-            RecoveryTable *rt = rts[mc].get();
-            if (!eq.parallel())
-                return rt->nackPending(line);
-            eq.noteCrossProbe();
-            if (rt->nackCountRelaxed() == 0)
-                return false;
-            if (eq.inParallelRound()) {
-                eq.taint("evict probe of a non-empty NACK filter in a "
-                         "parallel round");
-                return false;
-            }
-            return rt->nackPending(line);
+            return rts[amap.mcFor(line)]->nackPending(line);
         });
     }
 
@@ -187,14 +116,8 @@ System::run()
         last = std::max(last, c->finishTick());
     }
     runTicks_ = all_done ? last : eq.now();
-    sealStats();
     stats_.set("sim.runTicks", runTicks_);
     stats_.set("sim.eventsExecuted", eq.executed());
-    if (eq.tainted()) {
-        // Every observable result is garbage; the runner discards the
-        // system and reruns with the sequential engine.
-        return false;
-    }
     if (!drained || !all_done) {
         warn("run stopped before all cores finished (possible "
              "deadlock or maxRunTicks too low)");
@@ -221,7 +144,6 @@ System::crashAt(Tick tick, const std::function<void()> &at_crash)
         m->crash();
     for (MemoryController *mc : mcs)
         mc->crash();
-    sealStats();
     // The in-flight schedule dies with the power: drop it in one sweep
     // and record how much was pending (crash diagnostics).
     stats_.set("sim.eventsDropped", eq.clear());
@@ -229,21 +151,6 @@ System::crashAt(Tick tick, const std::function<void()> &at_crash)
     stats_.set("sim.runTicks", runTicks_);
     stats_.set("sim.eventsExecuted", eq.executed());
     stats_.inc("sim.crashes");
-}
-
-void
-System::sealStats()
-{
-    if (!eq.parallel())
-        return;
-    if (!mcs.empty())
-        mcs[0]->zeroAggStats();
-    for (MemoryController *mc : mcs)
-        mc->addAggStats();
-    if (!rts.empty())
-        rts[0]->zeroAggStats();
-    for (auto &rt : rts)
-        rt->addAggStats();
 }
 
 std::vector<std::uint64_t>

@@ -95,15 +95,6 @@ class System
     const SimConfig &config() const { return cfg; }
 
   private:
-    /**
-     * Recompute the shared "mc.*"/"rt.*" aggregate counters from the
-     * per-component counters (parallel runs don't bump aggregates on
-     * the hot path — that would race across domains and make their
-     * values order-dependent). Idempotent; no-op under the
-     * sequential engine.
-     */
-    void sealStats();
-
     SimConfig cfg;
     EventQueue eq;
     StatSet stats_;

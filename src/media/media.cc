@@ -131,9 +131,6 @@ class QueuedMediaModel : public MediaModel
         return g;
     }
 
-    Tick bwCursor() const override { return pipeFreeAt_; }
-    void setBwCursor(Tick t) override { pipeFreeAt_ = t; }
-
   private:
     double ticksPerByte_ = 0.0; //!< 0 = cap disabled
     Tick pipeFreeAt_ = 0;       //!< media write pipeline free time

@@ -23,40 +23,26 @@ MemoryController::MemoryController(unsigned id, const SimConfig &cfg,
       mediaModel_(makeMediaModelFor(cfg, id)), wpq(cfg.wpqEntries),
       xpBuffer(cfg.xpBufferLines),
       statPrefix("mc" + std::to_string(id) + "."),
-      aggInline_(!eq.parallel()),
-      stFlushesReceived(stats, statPrefix, "flushesReceived", aggInline_),
-      stEarlyFlushesReceived(stats, statPrefix, "earlyFlushesReceived",
-                             aggInline_),
-      stSuppressedWrites(stats, statPrefix, "suppressedWrites", aggInline_),
-      stUndoReads(stats, statPrefix, "undoReads", aggInline_),
-      stXpHits(stats, statPrefix, "xpHits", aggInline_),
-      stXpMisses(stats, statPrefix, "xpMisses", aggInline_),
-      stPmReads(stats, statPrefix, "pmReads", aggInline_),
-      stDelaysCreated(stats, statPrefix, "delaysCreated", aggInline_),
-      stNacksSent(stats, statPrefix, "nacksSent", aggInline_),
-      stCommitsReceived(stats, statPrefix, "commitsReceived", aggInline_),
-      stDelayWritesReleased(stats, statPrefix, "delayWritesReleased",
-                            aggInline_),
-      stWpqCoalesced(stats, statPrefix, "wpqCoalesced", aggInline_),
-      stWpqFullStalls(stats, statPrefix, "wpqFullStalls", aggInline_),
-      stPmWrites(stats, statPrefix, "pmWrites", aggInline_),
-      stBytesWritten(stats, statPrefix, "bytesWritten", aggInline_),
-      stBankBusyTicks(stats, statPrefix, "bankBusyTicks", aggInline_),
-      stBwQueueDelayTicks(stats, statPrefix, "bwQueueDelayTicks",
-                          aggInline_),
-      stAdrDrainWrites(stats, statPrefix, "adrDrainWrites", aggInline_),
-      stUndoRewindWrites(stats, statPrefix, "undoRewindWrites", aggInline_)
+      stFlushesReceived(stats, statPrefix, "flushesReceived"),
+      stEarlyFlushesReceived(stats, statPrefix, "earlyFlushesReceived"),
+      stSuppressedWrites(stats, statPrefix, "suppressedWrites"),
+      stUndoReads(stats, statPrefix, "undoReads"),
+      stXpHits(stats, statPrefix, "xpHits"),
+      stXpMisses(stats, statPrefix, "xpMisses"),
+      stPmReads(stats, statPrefix, "pmReads"),
+      stDelaysCreated(stats, statPrefix, "delaysCreated"),
+      stNacksSent(stats, statPrefix, "nacksSent"),
+      stCommitsReceived(stats, statPrefix, "commitsReceived"),
+      stDelayWritesReleased(stats, statPrefix, "delayWritesReleased"),
+      stWpqCoalesced(stats, statPrefix, "wpqCoalesced"),
+      stWpqFullStalls(stats, statPrefix, "wpqFullStalls"),
+      stPmWrites(stats, statPrefix, "pmWrites"),
+      stBytesWritten(stats, statPrefix, "bytesWritten"),
+      stBankBusyTicks(stats, statPrefix, "bankBusyTicks"),
+      stBwQueueDelayTicks(stats, statPrefix, "bwQueueDelayTicks"),
+      stAdrDrainWrites(stats, statPrefix, "adrDrainWrites"),
+      stUndoRewindWrites(stats, statPrefix, "undoRewindWrites")
 {
-    pairs_ = {&stFlushesReceived,    &stEarlyFlushesReceived,
-              &stSuppressedWrites,   &stUndoReads,
-              &stXpHits,             &stXpMisses,
-              &stPmReads,            &stDelaysCreated,
-              &stNacksSent,          &stCommitsReceived,
-              &stDelayWritesReleased, &stWpqCoalesced,
-              &stWpqFullStalls,      &stPmWrites,
-              &stBytesWritten,       &stBankBusyTicks,
-              &stBwQueueDelayTicks,  &stAdrDrainWrites,
-              &stUndoRewindWrites};
 }
 
 std::uint64_t
@@ -164,37 +150,17 @@ MemoryController::receiveCommit(std::uint16_t thread, std::uint64_t epoch,
     // only once inside the WPQ (the ADR domain), so the commit ACK —
     // which lets the epoch commit and dependents proceed — must wait
     // for every released write to be accepted.
-    //
-    // Parallel kernel: the countdown has two kinds of participants.
-    // The fixed-cost finish below runs as a core-domain event; a
-    // release that lands in the overflow queue decrements from an
-    // MC-domain WPQ-drain event. Rounds execute domains out of global
-    // tick order, so if both are outstanding the "last decrement"
-    // could resolve differently than sequentially. While any release
-    // is still parked (commitReleasePending_ != 0) the harness's
-    // serial predicate forces exact-order execution, making the race
-    // unreachable; crossCallHazard() is a defensive second net.
-    auto pending = std::make_shared<std::atomic<unsigned>>(1);
-    auto finish = [this, pending, cb = std::move(ack_cb)]() {
-        if (pending->fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            if (eq.crossCallHazard(EventQueue::kCoreDomain))
-                return;
+    auto pending = std::make_shared<unsigned>(1);
+    auto finish = [pending, cb = std::move(ack_cb)]() {
+        if (--*pending == 0)
             cb();
-        }
-    };
-    auto finishRelease = [this, finish]() {
-        panic_if(commitReleasePending_ == 0,
-                 "commit release countdown underflow");
-        --commitReleasePending_;
-        finish();
     };
     policy_->onCommit(thread, epoch,
-                      [this, pending, finishRelease](std::uint64_t line,
-                                                     std::uint64_t value) {
+                      [this, pending, finish](std::uint64_t line,
+                                              std::uint64_t value) {
                           stDelayWritesReleased.inc();
-                          pending->fetch_add(1, std::memory_order_relaxed);
-                          ++commitReleasePending_;
-                          enqueueWrite(line, value, 0, finishRelease);
+                          ++*pending;
+                          enqueueWrite(line, value, 0, finish);
                       });
     eq.scheduleAfterIn(EventQueue::kCoreDomain,
                        mcCommitCost + cfg.mcMessageLatency, finish);
@@ -312,62 +278,6 @@ MemoryController::crash()
             stUndoRewindWrites.inc();
         });
     }
-}
-
-void
-MemoryController::specSave()
-{
-    snap_ = std::make_unique<SpecSnapshot>(wpq);
-    snap_->xpLru = xpBuffer.lruSnapshot();
-    snap_->busyBanks = busyBanks;
-    snap_->drainCheckScheduled = drainCheckScheduled;
-    snap_->overflow = overflow;
-    snap_->statVals.reserve(pairs_.size());
-    for (StatPair *p : pairs_)
-        snap_->statVals.push_back(p->mcValue());
-    snap_->bwCursor = mediaModel_->bwCursor();
-    media.beginJournal(id_);
-    if (policy_)
-        policy_->specSave();
-}
-
-void
-MemoryController::specRestore()
-{
-    panic_if(!snap_, "specRestore without a checkpoint");
-    wpq = snap_->wpq;
-    xpBuffer.lruRestore(snap_->xpLru);
-    busyBanks = snap_->busyBanks;
-    drainCheckScheduled = snap_->drainCheckScheduled;
-    overflow = snap_->overflow;
-    for (std::size_t i = 0; i < pairs_.size(); ++i)
-        pairs_[i]->setMcValue(snap_->statVals[i]);
-    mediaModel_->setBwCursor(snap_->bwCursor);
-    media.rollbackJournal(id_);
-    if (policy_)
-        policy_->specRestore();
-    snap_.reset();
-}
-
-void
-MemoryController::specDiscard()
-{
-    media.discardJournal(id_);
-    snap_.reset();
-}
-
-void
-MemoryController::zeroAggStats()
-{
-    for (StatPair *p : pairs_)
-        p->zeroAgg();
-}
-
-void
-MemoryController::addAggStats()
-{
-    for (StatPair *p : pairs_)
-        p->addAgg();
 }
 
 } // namespace asap

@@ -16,14 +16,12 @@
 #ifndef ASAP_MEM_MEMORY_CONTROLLER_HH
 #define ASAP_MEM_MEMORY_CONTROLLER_HH
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
-
-#include <memory>
 
 #include "media/media.hh"
 #include "mem/nvm_contents.hh"
@@ -99,36 +97,6 @@ class MemoryController
 
     unsigned id() const { return id_; }
 
-    /**
-     * Commit-released writes whose WPQ insertion is still pending
-     * (parked in the overflow queue). While nonzero the commit ACK's
-     * countdown spans events whose relative order a parallel round
-     * does not reproduce, so the kernel's serial predicate keeps
-     * execution in exact global order until this drains.
-     */
-    unsigned commitReleasePending() const { return commitReleasePending_; }
-
-    // --- speculation checkpoints (parallel kernel) ------------------
-
-    /** Save all domain-local state ahead of a speculative window. */
-    void specSave();
-    /** Roll domain-local state back to the last specSave(). */
-    void specRestore();
-    /** Commit the speculative window; drop the checkpoint. */
-    void specDiscard();
-
-    // --- deterministic aggregate ("mc.*") recomputation -------------
-
-    /**
-     * In parallel runs per-MC counters are bumped on the owning
-     * domain's thread, but the shared "mc.*" aggregates are not (that
-     * would race and make their values order-dependent). Instead the
-     * harness seals stats after the run: zero the aggregates once,
-     * then add every controller's counters back in MC order.
-     */
-    void zeroAggStats();
-    void addAggStats();
-
   private:
     /** Enqueue a media write, waiting out a full WPQ if necessary. */
     void enqueueWrite(std::uint64_t line, std::uint64_t value,
@@ -144,20 +112,15 @@ class MemoryController
     /**
      * A (per-MC, aggregate "mc.*") counter pair. Resolved once at
      * construction: the per-event path must not pay two string
-     * concatenations and two map walks per statistic. Sequential runs
-     * bump both inline (aggInline). Parallel runs bump only the
-     * per-MC counter — the aggregate is shared across domains — and
-     * the harness recomputes aggregates deterministically at seal
-     * time (zeroAggStats()/addAggStats()).
+     * concatenations and two map walks per statistic.
      */
     class StatPair
     {
       public:
         StatPair(StatSet &stats, const std::string &prefix,
-                 const char *name, bool agg_inline)
+                 const char *name)
             : mc(&stats.counter(prefix + name)),
-              agg(&stats.counter(std::string("mc.") + name)),
-              aggInline(agg_inline)
+              agg(&stats.counter(std::string("mc.") + name))
         {
         }
 
@@ -165,19 +128,12 @@ class MemoryController
         inc(std::uint64_t delta = 1)
         {
             *mc += delta;
-            if (aggInline)
-                *agg += delta;
+            *agg += delta;
         }
-
-        std::uint64_t mcValue() const { return *mc; }
-        void setMcValue(std::uint64_t v) { *mc = v; }
-        void zeroAgg() { *agg = 0; }
-        void addAgg() { *agg += *mc; }
 
       private:
         std::uint64_t *mc;
         std::uint64_t *agg;
-        bool aggInline;
     };
 
     unsigned id_;
@@ -204,31 +160,7 @@ class MemoryController
     std::deque<OverflowWrite> overflow;
 
     bool crashed = false;
-    unsigned commitReleasePending_ = 0;
     std::string statPrefix;
-
-    /** Everything specRestore() must rewind (media contents roll back
-     *  through NvmContents' per-shard journal, policy state through
-     *  RecoveryPolicy::specRestore). */
-    struct SpecSnapshot
-    {
-        explicit SpecSnapshot(const Wpq &w) : wpq(w) {}
-        Wpq wpq;
-        std::vector<std::uint64_t> xpLru;
-        unsigned busyBanks = 0;
-        bool drainCheckScheduled = false;
-        std::deque<OverflowWrite> overflow;
-        std::vector<std::uint64_t> statVals;
-        Tick bwCursor = 0;
-    };
-    std::unique_ptr<SpecSnapshot> snap_;
-
-    /** All pairs, for checkpointing and aggregate recomputation. */
-    std::vector<StatPair *> pairs_;
-
-    /** Bump shared aggregates inline? (false under the parallel
-     *  kernel; declared before the pairs so they can read it). */
-    bool aggInline_;
 
     StatPair stFlushesReceived;
     StatPair stEarlyFlushesReceived;

@@ -6,23 +6,13 @@
  * reached the media. This is the state a crash preserves (together
  * with whatever the ADR domain flushes) and the state the recovery
  * checker inspects.
- *
- * Under the parallel event kernel the store is sharded per memory
- * controller (configureShards()): each MC writes only lines the
- * address map routes to it, so per-MC event windows mutate disjoint
- * shards without synchronisation. Each shard also carries an undo
- * journal so a speculative window's media writes can roll back. The
- * default single-shard layout is byte-for-byte the old behavior —
- * all() even returns the same map object.
  */
 
 #ifndef ASAP_MEM_NVM_CONTENTS_HH
 #define ASAP_MEM_NVM_CONTENTS_HH
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
-#include <vector>
 
 namespace asap
 {
@@ -31,41 +21,17 @@ namespace asap
 class NvmContents
 {
   public:
-    NvmContents() : shards_(1) {}
-
-    /**
-     * Split the store into @p n per-controller shards; @p route maps
-     * a line to its shard (the address map's mcFor). Must be called
-     * before any write. With n == 1 the route is ignored.
-     */
-    void
-    configureShards(unsigned n,
-                    std::function<unsigned(std::uint64_t)> route)
-    {
-        shards_.clear();
-        shards_.resize(n ? n : 1);
-        route_ = std::move(route);
-    }
-
     /** Write @p value to @p line (a media write, post-WPQ). */
     void
     write(std::uint64_t line, std::uint64_t value)
     {
-        Shard &s = shardFor(line);
-        if (s.journaling) {
-            auto it = s.lines.find(line);
-            s.journal.push_back(JEntry{
-                line, it == s.lines.end() ? 0 : it->second,
-                it != s.lines.end()});
-        }
-        s.lines[line] = value;
+        lines[line] = value;
     }
 
     /** Read the current media value (0 = never written). */
     std::uint64_t
     read(std::uint64_t line) const
     {
-        const auto &lines = shardFor(line).lines;
         auto it = lines.find(line);
         return it == lines.end() ? 0 : it->second;
     }
@@ -74,107 +40,20 @@ class NvmContents
     bool
     present(std::uint64_t line) const
     {
-        return shardFor(line).lines.count(line) != 0;
+        return lines.count(line) != 0;
     }
 
-    /**
-     * All line values (for the recovery checker). Single-shard: the
-     * shard's own map (bit-identical iteration to the pre-shard
-     * layout). Multi-shard: a merged snapshot — every consumer is
-     * order-independent (counts and lookups only).
-     */
+    /** All line values (for the recovery checker). */
     const std::unordered_map<std::uint64_t, std::uint64_t> &
     all() const
     {
-        if (shards_.size() == 1)
-            return shards_[0].lines;
-        merged_.clear();
-        for (const Shard &s : shards_)
-            merged_.insert(s.lines.begin(), s.lines.end());
-        return merged_;
+        return lines;
     }
 
-    void
-    clear()
-    {
-        for (Shard &s : shards_) {
-            s.lines.clear();
-            s.journal.clear();
-            s.journaling = false;
-        }
-        merged_.clear();
-    }
-
-    // --- speculation journal (parallel kernel checkpoints) ----------
-
-    /** Start recording undo state for @p shard's writes. */
-    void
-    beginJournal(unsigned shard)
-    {
-        Shard &s = shards_[shard];
-        s.journal.clear();
-        s.journaling = true;
-    }
-
-    /** Undo every write since beginJournal() (reverse order). */
-    void
-    rollbackJournal(unsigned shard)
-    {
-        Shard &s = shards_[shard];
-        for (auto it = s.journal.rbegin(); it != s.journal.rend();
-             ++it) {
-            if (it->wasPresent)
-                s.lines[it->line] = it->prev;
-            else
-                s.lines.erase(it->line);
-        }
-        s.journal.clear();
-        s.journaling = false;
-    }
-
-    /** Keep the writes; drop the undo records. */
-    void
-    discardJournal(unsigned shard)
-    {
-        Shard &s = shards_[shard];
-        s.journal.clear();
-        s.journaling = false;
-    }
+    void clear() { lines.clear(); }
 
   private:
-    struct JEntry
-    {
-        std::uint64_t line;
-        std::uint64_t prev;
-        bool wasPresent;
-    };
-
-    /** Cache-line padded: per-MC event windows write their shards
-     *  concurrently. */
-    struct alignas(64) Shard
-    {
-        std::unordered_map<std::uint64_t, std::uint64_t> lines;
-        std::vector<JEntry> journal;
-        bool journaling = false;
-    };
-
-    Shard &
-    shardFor(std::uint64_t line)
-    {
-        return shards_.size() == 1 ? shards_[0]
-                                   : shards_[route_(line)];
-    }
-
-    const Shard &
-    shardFor(std::uint64_t line) const
-    {
-        return shards_.size() == 1 ? shards_[0]
-                                   : shards_[route_(line)];
-    }
-
-    std::vector<Shard> shards_;
-    std::function<unsigned(std::uint64_t)> route_;
-    mutable std::unordered_map<std::uint64_t, std::uint64_t> merged_;
+    std::unordered_map<std::uint64_t, std::uint64_t> lines;
 };
 
 } // namespace asap

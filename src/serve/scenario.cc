@@ -65,8 +65,11 @@ findServeScenario(const std::string &workload)
     if (const ServeScenario *sc = tryFindServeScenario(workload))
         return *sc;
     std::string known;
-    for (const ServeScenario &sc : registry())
-        known += (known.empty() ? "" : "|") + sc.workloadName();
+    for (const ServeScenario &sc : registry()) {
+        if (!known.empty())
+            known += '|';
+        known += sc.workloadName();
+    }
     fatal("unknown serving scenario '", workload, "' (want ", known,
           ")");
     return registry().front(); // unreachable

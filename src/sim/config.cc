@@ -96,8 +96,6 @@ SimConfig::override(const std::string &assignment)
     else if (key == "seed") seed = as_u64();
     else if (key == "maxRunTicks") maxRunTicks = as_u64();
     else if (key == "xpBufferLines") xpBufferLines = as_u64();
-    else if (key == "parDomains") parDomains = as_u64();
-    else if (key == "parSpecWindow") parSpecWindow = as_u64();
     else
         fatal("unknown config key '", key, "'");
 }

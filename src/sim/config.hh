@@ -133,22 +133,6 @@ struct SimConfig
     std::uint64_t seed = 42;        //!< deterministic RNG seed
     Tick maxRunTicks = maxTick;     //!< safety stop for runaway runs
 
-    // --- parallel event kernel (src/sim/README.md) ------------------------
-    /**
-     * Event-execution domains for one run: 1 = the sequential kernel
-     * (default), N > 1 = domain-partitioned parallel execution with up
-     * to min(N, numMCs + 1) worker threads. Results are bit-identical
-     * either way, so this knob deliberately does NOT enter experiment
-     * job keys (src/exp/README.md).
-     */
-    unsigned parDomains = 1;
-    /**
-     * Speculative lookahead beyond the conservative bound, in ticks.
-     * 0 (default) = conservative-only; > 0 lets a starved MC domain
-     * run ahead under a checkpoint and roll back on misspeculation.
-     */
-    Tick parSpecWindow = 0;
-
     /**
      * Apply one "key=value" override (e.g.\ "numCores=8").
      * Unknown keys are fatal so typos cannot silently run defaults.

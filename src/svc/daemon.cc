@@ -496,7 +496,9 @@ Daemon::statusJson()
         for (const auto &kv : sessions) {
             const std::shared_ptr<SweepSession> &s = kv.second;
             Json row = Json::object();
-            row.set("sweep", Json::str("s" + std::to_string(s->id)));
+            std::string name = "s";
+            name += std::to_string(s->id);
+            row.set("sweep", Json::str(name));
             row.set("client", Json::str(s->client));
             row.set("priority",
                     Json::number(std::int64_t(s->priority)));

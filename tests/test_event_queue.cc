@@ -158,6 +158,90 @@ TEST(EventQueueOrder, ClearReportsDroppedCountAndKeepsExecuted)
     EXPECT_TRUE(eq.run());
 }
 
+// ------------------------------------------------------- tie-break
+
+/**
+ * Core<->MC ping-pong graph: two MCs, four chains each starting at
+ * ticks 0/3/3/6, every hop 5 ticks, three round trips per chain. Same
+ * tick ties abound between chains and between core and MC events, so
+ * the recorded global (tick, chain tag) order pins the kernel's
+ * tie-break rule: sequence keys are minted from the *creator*
+ * domain's send counter, (counter << 6) | creator.
+ */
+struct PingPong
+{
+    EventQueue eq;
+    std::vector<std::pair<Tick, int>> order;
+
+    PingPong()
+    {
+        int tag = 0;
+        for (unsigned mc = 0; mc < 2; ++mc)
+            for (Tick t : {Tick{0}, Tick{3}, Tick{3}, Tick{6}}) {
+                const int id = tag++;
+                eq.scheduleIn(EventQueue::kCoreDomain, t,
+                              [this, mc, id] { coreHop(mc, 3, id); });
+            }
+    }
+
+    void
+    coreHop(unsigned mc, int depth, int tag)
+    {
+        order.emplace_back(eq.now(), tag);
+        eq.scheduleAfterIn(EventQueue::mcDomain(mc), 5,
+                           [this, mc, depth, tag] {
+                               mcHop(mc, depth - 1, tag);
+                           });
+    }
+
+    void
+    mcHop(unsigned mc, int depth, int tag)
+    {
+        order.emplace_back(eq.now(), tag);
+        if (depth > 0)
+            eq.scheduleAfterIn(EventQueue::kCoreDomain, 5,
+                               [this, mc, depth, tag] {
+                                   coreHop(mc, depth, tag);
+                               });
+    }
+};
+
+/** The ping-pong graph's execution order under per-creator keys.
+ *  A plain global counter would run tick 13 as 1,2,5,6 instead of
+ *  1,5,2,6 (and likewise at 18, 23 and 28). */
+const std::vector<std::pair<Tick, int>> kPingPongOrder = {
+    {0, 0},  {0, 4},  {3, 1},  {3, 2},  {3, 5},  {3, 6},  {5, 0},
+    {5, 4},  {6, 3},  {6, 7},  {8, 1},  {8, 2},  {8, 5},  {8, 6},
+    {10, 0}, {10, 4}, {11, 3}, {11, 7}, {13, 1}, {13, 5}, {13, 2},
+    {13, 6}, {15, 0}, {15, 4}, {16, 3}, {16, 7}, {18, 1}, {18, 5},
+    {18, 2}, {18, 6}, {20, 0}, {20, 4}, {21, 3}, {21, 7}, {23, 1},
+    {23, 5}, {23, 2}, {23, 6}, {25, 0}, {25, 4}, {26, 3}, {26, 7},
+    {28, 1}, {28, 5}, {28, 2}, {28, 6}, {31, 3}, {31, 7},
+};
+
+TEST(EventQueueTieBreak, PingPongGlobalOrderIsPinned)
+{
+    PingPong g;
+    EXPECT_TRUE(g.eq.run());
+    EXPECT_EQ(g.order, kPingPongOrder);
+    EXPECT_EQ(g.eq.executed(), kPingPongOrder.size());
+}
+
+TEST(EventQueueTieBreak, RunLimitThenResumeKeepsPinnedOrder)
+{
+    PingPong g;
+    EXPECT_FALSE(g.eq.run(12));
+    EXPECT_EQ(g.eq.now(), 12u);
+    const auto firstAfter12 =
+        std::find_if(kPingPongOrder.begin(), kPingPongOrder.end(),
+                     [](const auto &e) { return e.first > 12; });
+    const std::vector<std::pair<Tick, int>> upTo12(kPingPongOrder.begin(),
+                                                   firstAfter12);
+    EXPECT_EQ(g.order, upTo12);
+    EXPECT_TRUE(g.eq.run());
+    EXPECT_EQ(g.order, kPingPongOrder);
+}
+
 // ------------------------------------------------------- allocation
 
 /** A self-rechaining event stream (the simulator's core pattern). */
@@ -235,13 +319,13 @@ TEST(EventQueueAlloc, WarmRunLimitWindowsAreAllocationFree)
 // binary so the EventQueueAlloc tests can assert a zero delta. Only
 // the unaligned overloads are replaced (paired with their deletes);
 // the malloc forwarding keeps sanitizer interceptors in the loop. The
-// deletes stay out of line: inlined into library code, GCC would see
-// operator-new memory handed to free and warn
-// (-Wmismatched-new-delete).
+// news and deletes stay out of line: inlined into library code, GCC
+// would see operator-new memory handed to free, or malloc memory to
+// operator delete, and warn (-Wmismatched-new-delete).
 
 #if !defined(__SANITIZE_ADDRESS__)
 
-void *
+[[gnu::noinline]] void *
 operator new(std::size_t size)
 {
     g_newCalls.fetch_add(1, std::memory_order_relaxed);
@@ -250,7 +334,7 @@ operator new(std::size_t size)
     throw std::bad_alloc();
 }
 
-void *
+[[gnu::noinline]] void *
 operator new[](std::size_t size)
 {
     g_newCalls.fetch_add(1, std::memory_order_relaxed);

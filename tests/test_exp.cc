@@ -10,8 +10,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <new>
 #include <sstream>
 
 #include "exp/cache.hh"
@@ -170,6 +172,31 @@ TEST(Cache, MemoryTierHitsAndMisses)
     EXPECT_EQ(cache.stats().memHits, 1u);
     EXPECT_EQ(cache.stats().misses, 1u);
     EXPECT_EQ(cache.stats().hits(), 1u);
+}
+
+TEST(Cache, DefaultRunResultRoundTripsOverDirtyStorage)
+{
+    // A default-constructed RunResult must not inherit whatever bytes
+    // its storage held: every field, the enums included, has a
+    // default that the cache codec can write and read back.
+    alignas(RunResult) unsigned char storage[sizeof(RunResult)];
+    std::memset(storage, 0xA5, sizeof(storage));
+    RunResult *r = ::new (static_cast<void *>(storage)) RunResult;
+    EXPECT_EQ(toString(r->model), "asap");
+    EXPECT_EQ(toString(r->persistency), "rp");
+
+    CachedResult e;
+    e.run = *r;
+    e.run.workload = "cceh"; // the codec has no empty-workload form
+    r->~RunResult();
+    // A garbage enum serializes as "?", which the parser rejects
+    // fatally: stop here rather than take the test binary down.
+    ASSERT_FALSE(HasFailure());
+    CachedResult back;
+    ASSERT_TRUE(deserializeEntry(serializeEntry(e), back));
+    EXPECT_EQ(back.run.model, ModelKind::Asap);
+    EXPECT_EQ(back.run.persistency, PersistencyModel::Release);
+    expectSameResult(e.run, back.run);
 }
 
 TEST(Cache, DiskTierSurvivesProcessCacheLoss)

@@ -189,6 +189,154 @@ TEST_F(MediaTest, PaperProfileByteIdenticalToSeedFigureRows)
     EXPECT_EQ(csv.str(), expected);
 }
 
+/**
+ * Outputs pinned across event-kernel changes. The rows below were
+ * captured with per-creator-domain sequence keys; each configuration
+ * moves if same-tick ties are ordered any other way (a plain global
+ * counter changes all three), so a refactor that claims identical
+ * outputs must leave them byte-identical.
+ */
+std::string
+pinnedCsv(const SweepResult &sr)
+{
+    std::ostringstream csv;
+    emitCsv(csv, sr);
+    return csv.str();
+}
+
+TEST_F(MediaTest, Fig08ModelsPinnedOnCcehAndSkiplist)
+{
+    SweepSpec spec;
+    spec.workloads = {"cceh", "skiplist"};
+    spec.models = {{ModelKind::Baseline, PersistencyModel::Release},
+                   {ModelKind::Hops, PersistencyModel::Epoch},
+                   {ModelKind::Hops, PersistencyModel::Release},
+                   {ModelKind::Asap, PersistencyModel::Epoch},
+                   {ModelKind::Asap, PersistencyModel::Release},
+                   {ModelKind::Eadr, PersistencyModel::Release}};
+    spec.params = params30();
+
+    ResultCache cache;
+    RunOptions opt;
+    opt.cache = &cache;
+    const std::string expected =
+        "workload,model,persistency,cores,seed,opsPerThread,runTicks,"
+        "pmWrites,pmReads,cyclesBlocked,cyclesStalled,dfenceStalled,"
+        "sfenceStalled,entriesInserted,epochs,crossDeps,totSpecWrites,"
+        "totalUndo,totalDelay,nacks,rtMaxOccupancy,pbOccMean,pbOccP99,"
+        "wpqCoalesced,suppressedWrites\n"
+        "cceh,baseline,rp,4,1,30,90986,110,0,0,0,0,14080,0,0,0,0,0,0,0,0,"
+        "0,0,0,0\n"
+        "cceh,hops,ep,4,1,30,92176,110,0,52227,0,16584,0,133,572,174,0,0,"
+        "0,0,0,0.281604,4,23,0\n"
+        "cceh,hops,rp,4,1,30,89176,109,0,24676,0,6138,0,148,319,95,0,0,0,"
+        "0,0,0.105887,2,39,0\n"
+        "cceh,asap,ep,4,1,30,87376,110,42,0,0,1112,0,220,572,174,71,58,"
+        "13,0,3,0.041152,1,110,0\n"
+        "cceh,asap,rp,4,1,30,87376,110,32,0,0,1108,0,220,319,95,52,47,5,"
+        "0,3,0.041141,1,110,0\n"
+        "cceh,eadr,rp,4,1,30,87100,109,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,111,"
+        "0\n"
+        "skiplist,baseline,rp,4,1,30,85746,419,0,0,0,0,45952,0,0,0,0,0,0,"
+        "0,0,0,0,115,0\n"
+        "skiplist,hops,ep,4,1,30,87136,419,0,325242,0,33567,0,537,1328,"
+        "423,0,0,0,0,0,10.4599,20,118,0\n"
+        "skiplist,hops,rp,4,1,30,85691,419,0,328763,10256,61501,0,537,"
+        "601,119,0,0,0,0,0,20.8398,32,118,0\n"
+        "skiplist,asap,ep,4,1,30,40096,429,157,0,0,1110,0,832,1328,423,"
+        "639,405,234,0,12,0.900985,11,398,0\n"
+        "skiplist,asap,rp,4,1,30,40096,429,157,0,0,1110,0,832,601,119,"
+        "639,405,234,0,12,0.900985,11,398,0\n"
+        "skiplist,eadr,rp,4,1,30,39798,412,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"
+        "563,0\n";
+    EXPECT_EQ(pinnedCsv(runSweep(spec, opt)), expected);
+}
+
+TEST_F(MediaTest, ServeKvZipfPinnedAcrossModels)
+{
+    SweepSpec spec;
+    spec.workloads = {"serve:kv-zipf"};
+    spec.models = {{ModelKind::Baseline, PersistencyModel::Release},
+                   {ModelKind::Hops, PersistencyModel::Release},
+                   {ModelKind::Asap, PersistencyModel::Release},
+                   {ModelKind::Eadr, PersistencyModel::Release}};
+    spec.params.opsPerThread = 100;
+    spec.params.seed = 1;
+
+    ResultCache cache;
+    RunOptions opt;
+    opt.cache = &cache;
+    const std::string expected =
+        "workload,model,persistency,cores,seed,opsPerThread,runTicks,"
+        "pmWrites,pmReads,cyclesBlocked,cyclesStalled,dfenceStalled,"
+        "sfenceStalled,entriesInserted,epochs,crossDeps,totSpecWrites,"
+        "totalUndo,totalDelay,nacks,rtMaxOccupancy,pbOccMean,pbOccP99,"
+        "wpqCoalesced,suppressedWrites,persistSamples,persistP50,"
+        "persistP99,persistP999,persistMax,serveRequests\n"
+        "serve:kv-zipf,baseline,rp,4,1,100,44444,676,0,0,0,0,91392,0,0,0,"
+        "0,0,0,0,0,0,0,38,0,357,0,0,0,0,400\n"
+        "serve:kv-zipf,hops,rp,4,1,100,43928,676,0,44982,0,89250,0,714,"
+        "1075,0,0,0,0,0,0,0.265947,1,38,0,357,248,248,248,250,400\n"
+        "serve:kv-zipf,asap,rp,4,1,100,46172,685,231,0,0,98572,0,1071,"
+        "1075,0,357,352,5,0,4,0.504899,2,381,0,357,272,272,272,284,400\n"
+        "serve:kv-zipf,eadr,rp,4,1,100,22776,659,0,0,0,0,0,0,0,0,0,0,0,0,"
+        "0,0,0,412,0,357,4,4,4,4,400\n";
+    EXPECT_EQ(pinnedCsv(runSweep(spec, opt)), expected);
+}
+
+TEST_F(MediaTest, SkiplistCrashVerdictsPinned)
+{
+    CampaignSpec spec;
+    spec.workloads = {"skiplist"};
+    spec.models = {{ModelKind::Asap, PersistencyModel::Epoch},
+                   {ModelKind::Asap, PersistencyModel::Release}};
+    spec.params = params30();
+    spec.ticksPerConfig = 5;
+
+    ResultCache cache;
+    RunOptions opt;
+    opt.cache = &cache;
+    const CampaignResult cr = runCampaign(spec, opt);
+    EXPECT_TRUE(cr.allConsistent());
+    const std::string expected =
+        "workload,model,persistency,cores,seed,opsPerThread,runTicks,"
+        "pmWrites,pmReads,cyclesBlocked,cyclesStalled,dfenceStalled,"
+        "sfenceStalled,entriesInserted,epochs,crossDeps,totSpecWrites,"
+        "totalUndo,totalDelay,nacks,rtMaxOccupancy,pbOccMean,pbOccP99,"
+        "wpqCoalesced,suppressedWrites,kind,crashTick,actualTick,"
+        "consistent,committedMax,storesLogged,linesSurvived,undoReplayed,"
+        "adrDrainWrites,message\n"
+        "skiplist,asap,ep,4,1,30,8019,72,30,0,0,0,0,157,268,88,125,76,47,"
+        "0,9,1.03631,12,74,0,crash,8019,8019,1,73,191,43,2,4,\"\"\n"
+        "skiplist,asap,ep,4,1,30,16038,182,74,0,0,0,0,362,565,180,303,"
+        "185,118,0,12,1.0904,13,178,0,crash,16038,16038,1,154,447,96,0,0,"
+        "\"\"\n"
+        "skiplist,asap,ep,4,1,30,24057,262,102,0,0,0,0,525,829,265,416,"
+        "261,155,0,12,0.974545,12,251,0,crash,24057,24057,1,223,627,144,"
+        "0,8,\"\"\n"
+        "skiplist,asap,ep,4,1,30,32076,338,126,0,0,0,0,666,1072,345,519,"
+        "329,190,0,12,0.915909,11,318,0,crash,32076,32076,1,283,791,182,"
+        "2,4,\"\"\n"
+        "skiplist,asap,ep,4,1,30,40096,425,157,0,0,1110,0,832,1328,423,"
+        "639,405,234,0,12,0.900985,11,398,0,crash,40096,40096,1,353,975,"
+        "231,0,4,\"\"\n"
+        "skiplist,asap,rp,4,1,30,8019,72,30,0,0,0,0,157,117,25,125,76,47,"
+        "0,9,1.03631,12,74,0,crash,8019,8019,1,33,191,43,2,4,\"\"\n"
+        "skiplist,asap,rp,4,1,30,16038,182,74,0,0,0,0,362,253,48,303,185,"
+        "118,0,12,1.0904,13,178,0,crash,16038,16038,1,70,447,96,0,0,"
+        "\"\"\n"
+        "skiplist,asap,rp,4,1,30,24057,262,102,0,0,0,0,525,372,73,416,"
+        "261,155,0,12,0.974545,12,251,0,crash,24057,24057,1,103,627,144,"
+        "0,8,\"\"\n"
+        "skiplist,asap,rp,4,1,30,32076,338,126,0,0,0,0,666,477,95,519,"
+        "329,190,0,12,0.915909,11,318,0,crash,32076,32076,1,125,791,182,"
+        "2,4,\"\"\n"
+        "skiplist,asap,rp,4,1,30,40096,425,157,0,0,1110,0,832,601,119,"
+        "639,405,234,0,12,0.900985,11,398,0,crash,40096,40096,1,156,975,"
+        "231,0,4,\"\"\n";
+    EXPECT_EQ(pinnedCsv(cr.sweep), expected);
+}
+
 TEST_F(MediaTest, DistinctProfilesYieldDistinctJobKeys)
 {
     std::vector<std::string> keys;

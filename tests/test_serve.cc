@@ -2,10 +2,10 @@
  * @file
  * Tests for the streaming request-serving subsystem (src/serve/):
  * stream purity and stream-vs-materialized byte-identity, fixed-seed
- * determinism across engine workers and --par-domains, Zipfian
- * frequency sanity, log-histogram percentile accuracy, the
- * constant-memory buffer bound and the materialization guardrail, and
- * the daemon wire codec for serve jobs and per-MC media lists.
+ * determinism across engine workers, Zipfian frequency sanity,
+ * log-histogram percentile accuracy, the constant-memory buffer bound
+ * and the materialization guardrail, and the daemon wire codec for
+ * serve jobs and per-MC media lists.
  */
 
 #include <gtest/gtest.h>
@@ -152,28 +152,6 @@ TEST(ServeStream, DeterministicAcrossEngineWorkers)
         EXPECT_EQ(a.results[i].serveRequests,
                   b.results[i].serveRequests);
     }
-}
-
-// The domain-parallel event kernel must replay a serve stream
-// bit-identically to the sequential kernel, tail histogram included.
-TEST(ServeStream, ParDomainsBitIdentical)
-{
-    const WorkloadParams p = serveParams(40);
-    SimConfig seq;
-    seq.numCores = 4;
-    SimConfig par = seq;
-    par.parDomains = 4;
-
-    const RunResult a = runExperiment("serve:kv-bursty", seq, p);
-    const RunResult b = runExperiment("serve:kv-bursty", par, p);
-    EXPECT_EQ(a.runTicks, b.runTicks);
-    EXPECT_EQ(a.pmWrites, b.pmWrites);
-    EXPECT_EQ(a.persistSamples, b.persistSamples);
-    EXPECT_EQ(a.persistP50, b.persistP50);
-    EXPECT_EQ(a.persistP99, b.persistP99);
-    EXPECT_EQ(a.persistP999, b.persistP999);
-    EXPECT_EQ(a.persistMax, b.persistMax);
-    EXPECT_EQ(a.serveRequests, b.serveRequests);
 }
 
 // Two independently seeded runs of the same scenario must produce the
