@@ -19,9 +19,6 @@
  *   --claim        with --shard: also reclaim dead shards' jobs
  *   --salt S       re-deal the shard partition (must match cluster-wide)
  *   --lease-ttl S  claim-protocol lease staleness threshold (seconds)
- *   --daemon SOCK  execute the sweep on the asapd at SOCK instead of
- *                  in-process (bench/asapd); tables and artifacts are
- *                  byte-identical either way
  *
  * Benches build an ExperimentJob list (JobSet or SweepSpec), run it
  * through the exp engine, and format tables from the deterministic,
@@ -48,7 +45,6 @@
 #include "exp/sweep.hh"
 #include "harness/runner.hh"
 #include "sim/log.hh"
-#include "svc/client.hh"
 #include "workloads/registry.hh"
 
 namespace asap
@@ -70,8 +66,6 @@ struct BenchArgs
     ShardSpec shard;      //!< which slice (with --salt folded in)
     bool claim = false;   //!< reclaim dead shards' jobs
     double leaseTtl = 60.0; //!< lease staleness threshold
-
-    std::string daemonSocket; //!< --daemon: route sweeps to an asapd
 
     static BenchArgs
     parse(int argc, char **argv)
@@ -131,16 +125,12 @@ struct BenchArgs
             } else if (!std::strcmp(argv[i], "--lease-ttl") &&
                        i + 1 < argc) {
                 a.leaseTtl = std::strtod(argv[++i], nullptr);
-            } else if (!std::strcmp(argv[i], "--daemon") &&
-                       i + 1 < argc) {
-                a.daemonSocket = argv[++i];
             } else {
                 std::fprintf(stderr,
                              "usage: %s [--ops N] [--seed S] "
                              "[--workload W] [--media P] [--jobs N] "
                              "[--json PATH] [--progress] [--profile] "
                              "[--list-media] [--list-workloads] "
-                             "[--daemon SOCKET] "
                              "[--shard i/n [--claim] [--salt S] "
                              "[--lease-ttl SEC]]\n", argv[0]);
                 std::exit(2);
@@ -207,29 +197,6 @@ struct BenchArgs
     }
 };
 
-/**
- * Run a bench's job list where the user pointed it: on the asapd at
- * --daemon's socket, or in-process through the engine. Both paths
- * share jobKey()-addressed caching and deterministic assembly, so the
- * bench's tables and CSV artifacts are byte-identical either way.
- */
-inline SweepResult
-runBenchJobs(const BenchArgs &args, std::vector<ExperimentJob> jobs)
-{
-    if (!args.daemonSocket.empty()) {
-        return daemonRunJobs(args.daemonSocket, std::move(jobs),
-                             args.options());
-    }
-    return runJobs(std::move(jobs), args.options());
-}
-
-/** runBenchJobs() for declarative sweeps. */
-inline SweepResult
-runBenchSweep(const BenchArgs &args, const SweepSpec &spec)
-{
-    return runBenchJobs(args, spec.expand());
-}
-
 /** Geometric mean of a series (ignores non-positive entries). */
 inline double
 gmean(const std::vector<double> &xs)
@@ -256,12 +223,6 @@ amean(const std::vector<double> &xs)
 }
 
 /**
- * Shared bench epilogue: write the artifact if --json was given and
- * report the engine's dedup/cache accounting. The counters are
- * deterministic (unlike wall-clock, which only goes to stderr), so
- * stdout stays byte-identical across --jobs settings.
- */
-/**
  * Print the process-wide host-time phase breakdown on stderr.
  * Wall-clock is non-deterministic, so none of this may reach stdout.
  */
@@ -278,6 +239,12 @@ printHostProfile()
                  static_cast<unsigned long long>(hp.simRuns));
 }
 
+/**
+ * Shared bench epilogue: write the artifact if --json was given and
+ * report the engine's dedup/cache accounting. The counters are
+ * deterministic (unlike wall-clock, which only goes to stderr), so
+ * stdout stays byte-identical across --jobs settings.
+ */
 inline void
 finishSweep(const BenchArgs &args, const SweepResult &sr)
 {

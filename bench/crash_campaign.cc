@@ -49,7 +49,6 @@ struct CampaignArgs
     ShardSpec shard;
     bool claim = false;
     double leaseTtl = 60.0;
-    std::string daemonSocket; //!< --daemon: route sweeps to an asapd
 };
 
 [[noreturn]] void
@@ -63,7 +62,7 @@ usage(const char *argv0)
         "[--list-strategies]\n"
         "          [--tick-seed S] [--cores N] [--models "
         "m1_pm1,m2_pm2,...]\n"
-        "          [--progress] [--daemon SOCKET]\n"
+        "          [--progress]\n"
         "          [--shard i/n [--claim] [--salt S] "
         "[--lease-ttl SEC]]\n"
         "       %s --repro --workload W [--media P] --model M --pm P "
@@ -145,8 +144,6 @@ parseArgs(int argc, char **argv)
             a.shard.salt = need(i), ++i;
         else if (!std::strcmp(arg, "--lease-ttl"))
             a.leaseTtl = std::strtod(need(i), nullptr), ++i;
-        else if (!std::strcmp(arg, "--daemon"))
-            a.daemonSocket = need(i), ++i;
         else
             usage(argv[0]);
     }
@@ -276,16 +273,7 @@ runCampaignMode(const CampaignArgs &a, const BenchArgs &emitArgs)
             return 0;
     }
 
-    SweepRunner runner;
-    if (!emitArgs.daemonSocket.empty()) {
-        runner = [&](std::vector<ExperimentJob> jobs,
-                     const RunOptions &opt) {
-            return daemonRunJobs(emitArgs.daemonSocket,
-                                 std::move(jobs), opt);
-        };
-    }
-    const CampaignResult cr =
-        runCampaign(spec, emitArgs.options(), runner);
+    const CampaignResult cr = runCampaign(spec, emitArgs.options());
     if (cr.probePhaseCached) {
         // stderr only: the verdict table must stay byte-identical
         // between cold and warm campaigns.
@@ -349,6 +337,5 @@ main(int argc, char **argv)
     emitArgs.shard = a.shard;
     emitArgs.claim = a.claim;
     emitArgs.leaseTtl = a.leaseTtl;
-    emitArgs.daemonSocket = a.daemonSocket;
     return runCampaignMode(a, emitArgs);
 }

@@ -65,7 +65,6 @@ struct PermuteArgs
     ShardSpec shard;
     bool claim = false;
     double leaseTtl = 60.0;
-    std::string daemonSocket; //!< --daemon: route sweeps to an asapd
 };
 
 [[noreturn]] void
@@ -81,7 +80,7 @@ usage(const char *argv0)
         "m1_pm1,m2_pm2,...]\n"
         "          [--bound N] [--sample-seed S] [--inject-fault F]\n"
         "          [--engine E] [--permute-jobs N]\n"
-        "          [--progress] [--daemon SOCKET]\n"
+        "          [--progress]\n"
         "          [--shard i/n [--claim] [--salt S] "
         "[--lease-ttl SEC]]\n"
         "       %s --repro --workload W [--media P] --model M --pm P "
@@ -211,8 +210,6 @@ parseArgs(int argc, char **argv)
             a.shard.salt = need(i), ++i;
         else if (!std::strcmp(arg, "--lease-ttl"))
             a.leaseTtl = std::strtod(need(i), nullptr), ++i;
-        else if (!std::strcmp(arg, "--daemon"))
-            a.daemonSocket = need(i), ++i;
         else
             usage(argv[0]);
     }
@@ -368,16 +365,7 @@ runPermuteCampaign(const PermuteArgs &a, const BenchArgs &emitArgs)
             return 0;
     }
 
-    SweepRunner runner;
-    if (!emitArgs.daemonSocket.empty()) {
-        runner = [&](std::vector<ExperimentJob> jobs,
-                     const RunOptions &opt) {
-            return daemonRunJobs(emitArgs.daemonSocket,
-                                 std::move(jobs), opt);
-        };
-    }
-    const CampaignResult cr =
-        runCampaign(spec, emitArgs.options(), runner);
+    const CampaignResult cr = runCampaign(spec, emitArgs.options());
     if (cr.probePhaseCached) {
         // stderr only: apart from the host-side states/s column, the
         // verdict table stays byte-identical between cold and warm
@@ -487,6 +475,5 @@ main(int argc, char **argv)
     emitArgs.shard = a.shard;
     emitArgs.claim = a.claim;
     emitArgs.leaseTtl = a.leaseTtl;
-    emitArgs.daemonSocket = a.daemonSocket;
     return runPermuteCampaign(a, emitArgs);
 }

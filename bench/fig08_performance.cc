@@ -56,7 +56,7 @@ main(int argc, char **argv)
     }
     if (maybeRunShard(args, set.jobs()))
         return 0;
-    const SweepResult sr = runBenchJobs(args, set.jobs());
+    const SweepResult sr = runJobs(set.jobs(), args.options());
 
     std::printf("=== Figure 8: speedup over baseline "
                 "(4 cores, 2 MCs) ===\n");

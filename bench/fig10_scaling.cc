@@ -46,7 +46,7 @@ main(int argc, char **argv)
     spec.base = args.baseConfig();
     if (maybeRunShard(args, spec.expand()))
         return 0;
-    const SweepResult sr = runBenchSweep(args, spec);
+    const SweepResult sr = runSweep(spec, args.options());
 
     // Normalised throughput: ops scale with threads, so
     // throughput = cores / runTicks (ops per thread fixed).

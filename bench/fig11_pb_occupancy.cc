@@ -27,7 +27,7 @@ main(int argc, char **argv)
     spec.base = args.baseConfig();
     if (maybeRunShard(args, spec.expand()))
         return 0;
-    const SweepResult sr = runBenchSweep(args, spec);
+    const SweepResult sr = runSweep(spec, args.options());
 
     std::printf("=== Figure 11: PB occupancy avg / p99 "
                 "(RP, 4 cores, 32-entry PB) ===\n");

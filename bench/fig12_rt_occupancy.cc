@@ -27,7 +27,7 @@ main(int argc, char **argv)
     spec.base = args.baseConfig();
     if (maybeRunShard(args, spec.expand()))
         return 0;
-    const SweepResult sr = runBenchSweep(args, spec);
+    const SweepResult sr = runSweep(spec, args.options());
 
     std::printf("=== Figure 12: RT max occupancy (ASAP RP) ===\n");
     std::printf("%-12s %10s %10s %10s %10s\n", "workload", "4thr",

@@ -47,7 +47,7 @@ main(int argc, char **argv)
     }
     if (maybeRunShard(args, set.jobs()))
         return 0;
-    const SweepResult sr = runBenchJobs(args, set.jobs());
+    const SweepResult sr = runJobs(set.jobs(), args.options());
 
     std::printf("=== Figure 13: bandwidth utilisation "
                 "(256B ofence-ordered bursts across 2 MCs) ===\n");

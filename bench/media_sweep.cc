@@ -165,7 +165,7 @@ main(int argc, char **argv)
     spec.params = a.bench.params();
     if (maybeRunShard(a.bench, spec.expand()))
         return 0;
-    const SweepResult sr = runBenchSweep(a.bench, spec);
+    const SweepResult sr = runSweep(spec, a.bench.options());
 
     // Expansion order: workload-major, media next, models, cores
     // innermost (one core count here).

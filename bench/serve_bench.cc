@@ -11,8 +11,8 @@
  * stderr so the constant-memory claim is checkable from scripts.
  *
  * The scenario axis rides the cache key like any workload name, so
- * re-runs, --shard slices (bench/sweep_merge) and --daemon execution
- * dedup and reassemble exactly like the figure benches.
+ * re-runs and --shard slices (bench/sweep_merge) dedup and reassemble
+ * exactly like the figure benches.
  */
 
 #include <sys/resource.h>
@@ -27,7 +27,7 @@ namespace
 
 struct ServeBenchArgs
 {
-    BenchArgs bench;        //!< shared engine/shard/daemon flags
+    BenchArgs bench;        //!< shared engine/shard flags
     std::string scenarios;  //!< comma list; empty = all
     std::string models = "baseline_rp,hops_rp,asap_rp,eadr_rp";
     std::string mediaPerMc; //!< per-MC profile list; empty = uniform
@@ -47,7 +47,7 @@ usage(const char *argv0)
         "          [--keyspace N] [--update-pct P] [--media P]\n"
         "          [--media-per-mc p1,p2,...]\n"
         "          [--jobs N] [--json PATH]\n"
-        "          [--progress] [--profile] [--daemon SOCKET]\n"
+        "          [--progress] [--profile]\n"
         "          [--list-scenarios] [--list-media]\n"
         "          [--shard i/n [--claim] [--salt S] "
         "[--lease-ttl SEC]]\n",
@@ -139,8 +139,6 @@ parseArgs(int argc, char **argv)
             a.bench.progress = true;
         else if (!std::strcmp(arg, "--profile"))
             a.bench.profile = true;
-        else if (!std::strcmp(arg, "--daemon"))
-            a.bench.daemonSocket = need(i), ++i;
         else if (!std::strcmp(arg, "--list-scenarios")) {
             for (const ServeScenario &sc : allServeScenarios())
                 std::printf("%-18s %s\n", sc.workloadName().c_str(),
@@ -228,7 +226,7 @@ main(int argc, char **argv)
     }
     if (maybeRunShard(a.bench, jobs))
         return 0;
-    const SweepResult sr = runBenchJobs(a.bench, std::move(jobs));
+    const SweepResult sr = runJobs(std::move(jobs), a.bench.options());
 
     auto ns = [](std::uint64_t ticks) {
         return double(ticks) / clockGHz;

@@ -105,8 +105,6 @@ Core::next()
       case OpType::DFence: {
         ++*stDfences;
         // Persist latency: how long this thread waited for durability.
-        // Completion runs in the core's own domain, so sampling here is
-        // identical under the sequential and parallel kernels.
         const Tick issued = eq.now();
         model().dfence([this, issued]() {
             stPersistLat->sample(eq.now() - issued);

@@ -101,9 +101,9 @@ class LeaseManager
  * restores the default disposition, and re-raises — so an interrupted
  * batch bench dies with the right signal status but never strands
  * leases that would stall other shards for a full TTL. Idempotent;
- * call from single-threaded startup. Long-running embedders that
- * manage signals themselves (asapd) skip this and rely on graceful
- * LeaseManager teardown instead.
+ * call from single-threaded startup. Embedders that manage signals
+ * themselves skip this and rely on graceful LeaseManager teardown
+ * instead.
  */
 void installLeaseSignalHandler();
 

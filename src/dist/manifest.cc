@@ -24,7 +24,9 @@ namespace
 // v3 added the four permute columns to every job line (older readers
 // reject v3 manifests cleanly; manifests are transient per-sweep
 // artifacts, so there is no legacy-data concern).
-constexpr int kManifestVersion = 3;
+// v4: the per-MC media list follows the media profile, so merged
+// heterogeneous-media sweeps keep their media columns.
+constexpr int kManifestVersion = 4;
 
 } // namespace
 
@@ -80,6 +82,7 @@ serializeManifest(const ShardManifest &m)
         const ManifestJob &j = m.jobs[i];
         os << "job " << i << ' ' << j.key << ' ' << toString(j.kind)
            << ' ' << j.workload << ' ' << j.media << ' '
+           << (j.mediaPerMc.empty() ? "-" : j.mediaPerMc) << ' '
            << toString(j.model) << ' ' << toString(j.pm) << ' '
            << j.cores << ' ' << j.seed << ' ' << j.ops << ' '
            << j.crashTick << ' ' << j.permuteBound << ' '
@@ -139,13 +142,15 @@ deserializeManifest(const std::string &text, ShardManifest &out,
             std::string kind, model, pm, status;
             ManifestJob j;
             is >> idx >> j.key >> kind >> j.workload >> j.media >>
-                model >> pm >> j.cores >> j.seed >> j.ops >>
-                j.crashTick >> j.permuteBound >> j.permuteSeed >>
+                j.mediaPerMc >> model >> pm >> j.cores >> j.seed >>
+                j.ops >> j.crashTick >> j.permuteBound >> j.permuteSeed >>
                 j.permuteFault >> j.permuteState >> status;
             if (!is)
                 return reject("malformed job line");
             if (idx != m.jobs.size())
                 return reject("job lines out of order");
+            if (j.mediaPerMc == "-")
+                j.mediaPerMc.clear();
             if (j.permuteFault == "-")
                 j.permuteFault.clear();
             if (j.permuteState == "-")
@@ -154,8 +159,12 @@ deserializeManifest(const std::string &text, ShardManifest &out,
             else if (kind == "crash") j.kind = JobKind::Crash;
             else if (kind == "permute") j.kind = JobKind::Permute;
             else return reject("unknown job kind '" + kind + "'");
-            j.model = parseModelKind(model);
-            j.pm = parsePersistencyModel(pm);
+            if (!tryParseModelKind(model, j.model))
+                return reject("unknown model '" + model + "'");
+            if (!tryParsePersistencyModel(pm, j.pm)) {
+                return reject("unknown persistency model '" + pm +
+                              "'");
+            }
             if (!parseShardJobStatus(status, j.status))
                 return reject("unknown job status '" + status + "'");
             m.jobs.push_back(std::move(j));
@@ -177,6 +186,11 @@ deserializeManifest(const std::string &text, ShardManifest &out,
                       std::to_string(m.jobs.size()) + ")");
     if (m.shard.count == 0 || m.shard.index >= m.shard.count)
         return reject("bad shard spec " + toString(m.shard));
+    // The sweep id is what keeps shards of different sweeps apart; a
+    // manifest whose sweep line was lost (e.g. swallowed by a damaged
+    // salt line) cannot be merged safely.
+    if (m.sweep.empty())
+        return reject("missing sweep id");
     out = std::move(m);
     return true;
 }
@@ -252,6 +266,7 @@ toExperimentJob(const ManifestJob &mj)
     ExperimentJob job;
     job.workload = mj.workload;
     job.cfg.mediaProfile = mj.media;
+    job.cfg.mediaPerMc = mj.mediaPerMc;
     job.cfg.model = mj.model;
     job.cfg.persistency = mj.pm;
     job.cfg.numCores = mj.cores;
@@ -275,6 +290,7 @@ toManifestJob(const ExperimentJob &job, const std::string &key)
     mj.kind = job.kind;
     mj.workload = job.workload;
     mj.media = job.cfg.mediaProfile;
+    mj.mediaPerMc = job.cfg.mediaPerMc;
     mj.model = job.cfg.model;
     mj.pm = job.cfg.persistency;
     mj.cores = job.cfg.numCores;

@@ -50,6 +50,7 @@ struct ManifestJob
     JobKind kind = JobKind::Run;
     std::string workload;
     std::string media = kDefaultMediaProfile; //!< media profile
+    std::string mediaPerMc; //!< per-MC profile list; empty = uniform
     ModelKind model = ModelKind::Baseline;
     PersistencyModel pm = PersistencyModel::Release;
     unsigned cores = 0;

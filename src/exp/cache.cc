@@ -298,11 +298,13 @@ deserializeEntry(const std::string &text, CachedResult &out,
         else if (field == "model") {
             std::string m;
             is >> m;
-            r.model = parseModelKind(m);
+            if (is && !tryParseModelKind(m, r.model))
+                return reject("unknown model '" + m + "'");
         } else if (field == "persistency") {
             std::string m;
             is >> m;
-            r.persistency = parsePersistencyModel(m);
+            if (is && !tryParsePersistencyModel(m, r.persistency))
+                return reject("unknown persistency model '" + m + "'");
         }
         else if (field == "cores") is >> r.cores;
         else if (field == "runTicks") is >> r.runTicks;

@@ -269,17 +269,15 @@ expandCampaign(const CampaignSpec &spec, const SweepResult &probe_sr)
 }
 
 CampaignResult
-runCampaign(const CampaignSpec &spec, const RunOptions &opt,
-            const SweepRunner &runner)
+runCampaign(const CampaignSpec &spec, const RunOptions &opt)
 {
     CampaignResult out;
     const std::vector<ProbeStat> stats =
-        ensureProbeStats(spec, opt, runner, &out.probePhaseCached);
+        ensureProbeStats(spec, opt, {}, &out.probePhaseCached);
     CampaignExpansion expansion = expandCampaign(spec, stats);
 
     out.rows = std::move(expansion.rows);
-    out.sweep = runner ? runner(std::move(expansion.crashJobs), opt)
-                       : runJobs(std::move(expansion.crashJobs), opt);
+    out.sweep = runJobs(std::move(expansion.crashJobs), opt);
 
     // Verdict accounting, in submission (= config) order.
     out.badJobs = out.sweep.inconsistentJobs();

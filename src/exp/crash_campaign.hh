@@ -29,10 +29,9 @@ namespace asap
 {
 
 /**
- * How a campaign runs its sweeps: any callable with the runJobs()
- * shape. The default is runJobs itself; a daemon-routed campaign
- * substitutes the svc client so probes and crash jobs execute on a
- * running asapd instead of in-process.
+ * How a probe phase runs its sweep: any callable with the runJobs()
+ * shape. The default is runJobs itself; a sharded campaign passes
+ * ensureJobs so every shard shares one cluster-wide probe phase.
  */
 using SweepRunner = std::function<SweepResult(std::vector<ExperimentJob>,
                                               const RunOptions &)>;
@@ -141,8 +140,8 @@ struct CampaignResult
 /**
  * Probe summary of one configuration: the only two stats crash-tick
  * selection needs. A full probe RunResult is memoized down to this
- * pair so warm (and daemon) campaigns skip the probe phase entirely —
- * no probe sweep, no per-probe cache assembly.
+ * pair so warm campaigns skip the probe phase entirely — no probe
+ * sweep, no per-probe cache assembly.
  */
 struct ProbeStat
 {
@@ -215,12 +214,11 @@ CampaignExpansion expandCampaign(const CampaignSpec &spec,
 
 /**
  * Run a campaign: probe phase (memoized via ensureProbeStats), tick
- * selection, crash sweep. Sweeps go through @p runner (empty =
- * runJobs) with @p opt (parallel + cached).
+ * selection, crash sweep. Both sweeps go through runJobs() with
+ * @p opt (parallel + cached).
  */
 CampaignResult runCampaign(const CampaignSpec &spec,
-                           const RunOptions &opt = {},
-                           const SweepRunner &runner = {});
+                           const RunOptions &opt = {});
 
 /**
  * One-line `bench/crash_campaign --repro ...` (or, for Permute jobs,

@@ -1,7 +1,6 @@
 #include "exp/engine.hh"
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <memory>
 #include <mutex>
@@ -154,6 +153,14 @@ SweepResult::find(const std::string &workload, ModelKind model,
     return nullptr;
 }
 
+namespace
+{
+
+/**
+ * Simulate one job (no cache, no pool): run or crash-inject as the
+ * kind demands and return the tagged payload. runJobs() wraps it in
+ * dedup + cache + assembly.
+ */
 CachedResult
 executeJob(const ExperimentJob &job)
 {
@@ -182,38 +189,6 @@ executeJob(const ExperimentJob &job)
     }
     return e;
 }
-
-namespace
-{
-
-/** Barrier for tasks submitted to an external executor: the engine
- *  cannot pool.wait() on a scheduler it does not own, so it counts
- *  its own completions instead. */
-class TaskLatch
-{
-  public:
-    explicit TaskLatch(std::size_t count) : remaining(count) {}
-
-    void
-    done()
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        if (--remaining == 0)
-            cv.notify_all();
-    }
-
-    void
-    wait()
-    {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [this] { return remaining == 0; });
-    }
-
-  private:
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t remaining;
-};
 
 } // namespace
 
@@ -257,24 +232,15 @@ runJobs(std::vector<ExperimentJob> jobs, const RunOptions &opt)
         }
     }
     if (!toRun.empty()) {
-        // Own pool unless the caller supplied an executor; either way
-        // each task writes only its own results slot, so assembly is
-        // deterministic regardless of completion order or scheduler.
-        std::unique_ptr<ThreadPool> ownPool;
-        TaskExecutor *exec = opt.executor;
-        if (!exec) {
-            ownPool = std::make_unique<ThreadPool>(opt.jobs);
-            exec = ownPool.get();
-        }
-        TaskLatch latch(toRun.size());
+        ThreadPool pool(opt.jobs);
         std::unique_ptr<ProgressMeter> meter;
         if (opt.progress) {
             meter = std::make_unique<ProgressMeter>(
                 sr.jobs.size(), sr.jobs.size() - toRun.size(),
-                exec->width());
+                pool.size());
         }
         for (std::size_t i : toRun) {
-            exec->submit([&sr, &cache, &keys, &meter, &latch, i] {
+            pool.submit([&sr, &cache, &keys, &meter, i] {
                 const auto jobStart = std::chrono::steady_clock::now();
                 CachedResult e = executeJob(sr.jobs[i]);
                 cache.insert(keys[i], e);
@@ -286,10 +252,9 @@ runJobs(std::vector<ExperimentJob> jobs, const RunOptions &opt)
                                        jobStart)
                                        .count());
                 }
-                latch.done();
             });
         }
-        latch.wait();
+        pool.wait();
     }
 
     for (std::size_t i = 0; i < sr.jobs.size(); ++i) {

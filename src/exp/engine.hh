@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "exp/cache.hh"
-#include "exp/pool.hh"
 #include "exp/sweep.hh"
 #include "harness/runner.hh"
 
@@ -30,21 +29,11 @@ namespace asap
 /** Execution knobs for one sweep. */
 struct RunOptions
 {
-    /** Worker threads; 0 = ThreadPool::defaultThreads(). Ignored when
-     *  an external executor is supplied. */
+    /** Worker threads; 0 = ThreadPool::defaultThreads(). */
     unsigned jobs = 0;
 
     /** Cache to consult/fill; nullptr = the shared processCache(). */
     ResultCache *cache = nullptr;
-
-    /**
-     * Externally owned scheduler to run simulation tasks on; nullptr
-     * makes the engine spin up (and tear down) its own ThreadPool.
-     * A long-running service passes its shared scheduler here so
-     * every sweep competes under one admission policy instead of
-     * each one claiming the whole machine.
-     */
-    TaskExecutor *executor = nullptr;
 
     /**
      * Emit rate-limited progress/ETA lines (jobs done/total,
@@ -105,16 +94,8 @@ struct SweepResult
                           PersistencyModel pm, unsigned cores) const;
 };
 
-/**
- * Simulate one job (no cache, no pool): run or crash-inject as the
- * kind demands and return the tagged payload. This is the unit of
- * work everything above schedules — runJobs() wraps it in dedup +
- * cache + assembly, and the svc daemon dispatches it from its own
- * priority queue.
- */
-CachedResult executeJob(const ExperimentJob &job);
-
-/** Run @p jobs (order preserved in the result). */
+/** Run @p jobs on a ThreadPool of opt.jobs workers (order preserved
+ *  in the result). */
 SweepResult runJobs(std::vector<ExperimentJob> jobs,
                     const RunOptions &opt = {});
 

@@ -63,11 +63,9 @@ struct ExperimentJob
 
     /**
      * Check-loop execution knobs (engine name and worker threads).
-     * Like the parallel-kernel knobs on SimConfig, these deliberately
-     * do NOT enter job keys, caches or the wire protocol: every
-     * engine/thread-count combination produces bit-identical
-     * verdicts, so keying them would only split the cache (and
-     * daemon-routed jobs simply run the receiver's defaults).
+     * These deliberately do NOT enter job keys, caches or manifests:
+     * every engine/thread-count combination produces bit-identical
+     * verdicts, so keying them would only split the cache.
      */
     std::string permuteEngine;   //!< "", "incremental", "naive"
     unsigned permuteThreads = 1; //!< 1 = inline, 0 = hw threads

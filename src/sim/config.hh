@@ -41,10 +41,19 @@ enum class PersistencyModel
     Release,    //!< release persistency (RP): deps only on acquire/release
 };
 
-/** Parse "baseline|hops|asap|eadr" (fatal on anything else). */
+/** Parse "baseline|hops|asap|eadr" (also "bbb"/"ideal" for eadr).
+ *  @return false, leaving @p out alone, on anything else */
+bool tryParseModelKind(const std::string &name, ModelKind &out);
+
+/** Parse "ep|rp" (also "epoch"/"release").
+ *  @return false, leaving @p out alone, on anything else */
+bool tryParsePersistencyModel(const std::string &name,
+                              PersistencyModel &out);
+
+/** tryParseModelKind(), fatal on an unknown name. */
 ModelKind parseModelKind(const std::string &name);
 
-/** Parse "ep|rp" (fatal on anything else). */
+/** tryParsePersistencyModel(), fatal on an unknown name. */
 PersistencyModel parsePersistencyModel(const std::string &name);
 
 /** Printable names for the enums above. */

@@ -22,27 +22,8 @@
 namespace asap
 {
 
-/**
- * Where the engine puts simulation tasks. ThreadPool is the default
- * implementation; a long-running service can substitute its own
- * scheduler (e.g. src/svc's priority queue) so sweeps from many
- * clients share one set of workers under an admission policy the
- * engine knows nothing about.
- */
-class TaskExecutor
-{
-  public:
-    virtual ~TaskExecutor() = default;
-
-    /** Enqueue @p task; the executor runs it on some worker. */
-    virtual void submit(std::function<void()> task) = 0;
-
-    /** Worker parallelism (used for progress/ETA estimates). */
-    virtual unsigned width() const = 0;
-};
-
 /** Worker threads draining a shared FIFO of closures. */
-class ThreadPool : public TaskExecutor
+class ThreadPool
 {
   public:
     /**
@@ -57,16 +38,13 @@ class ThreadPool : public TaskExecutor
     ThreadPool &operator=(const ThreadPool &) = delete;
 
     /** Enqueue @p task; it runs on some worker in FIFO order. */
-    void submit(std::function<void()> task) override;
+    void submit(std::function<void()> task);
 
     /** Block until every submitted task has finished. */
     void wait();
 
     /** Number of worker threads. */
     unsigned size() const { return static_cast<unsigned>(workers.size()); }
-
-    /** TaskExecutor: parallelism equals the worker count. */
-    unsigned width() const override { return size(); }
 
     /** std::thread::hardware_concurrency with a floor of 1. */
     static unsigned defaultThreads();

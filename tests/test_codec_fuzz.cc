@@ -1,0 +1,190 @@
+/**
+ * @file
+ * Seeded mutation tests for the parsers of on-disk state that other
+ * processes write: result-cache entries and shard manifests. A
+ * damaged file must be rejected with a reason (the disk tier then
+ * re-simulates, the merge refuses the shard), never take the process
+ * down. Each mutant applies one to three edits — truncation, bit
+ * flip, random-byte insertion, plausible-byte replacement — to a
+ * known-good serialization; whatever the parser accepts must
+ * serialize and parse again.
+ */
+
+#include <gtest/gtest.h>
+
+#include <string>
+
+#include "dist/manifest.hh"
+#include "exp/cache.hh"
+#include "sim/rng.hh"
+
+namespace asap
+{
+namespace
+{
+
+constexpr std::size_t kMutants = 2000;
+
+/** Bytes a hand edit or a torn write plausibly leaves in a text
+ *  record: digits, separators, signs and letters of field names and
+ *  enum values (so "asap" can become "asbp" or "as p"). */
+constexpr char kPlausible[] = "0123456789 \n-.+xefabdprsmnuv_";
+
+std::string
+mutate(const std::string &text, Rng &rng)
+{
+    std::string m = text;
+    const unsigned edits = static_cast<unsigned>(rng.range(1, 3));
+    for (unsigned e = 0; e < edits && !m.empty(); ++e) {
+        const std::size_t at = rng.below(m.size());
+        switch (rng.below(4)) {
+          case 0: // truncation
+            m.resize(at);
+            break;
+          case 1: // bit flip
+            m[at] = static_cast<char>(m[at] ^ (1u << rng.below(8)));
+            break;
+          case 2: // random-byte insertion
+            m.insert(at, 1, static_cast<char>(rng.below(256)));
+            break;
+          default: // plausible-byte replacement
+            m[at] = kPlausible[rng.below(sizeof(kPlausible) - 1)];
+            break;
+        }
+    }
+    return m;
+}
+
+CachedResult
+samplePermuteEntry()
+{
+    CachedResult e;
+    e.kind = JobKind::Permute;
+    RunResult &r = e.run;
+    r.workload = "cceh";
+    r.model = ModelKind::Asap;
+    r.persistency = PersistencyModel::Epoch;
+    r.cores = 4;
+    r.runTicks = 123456;
+    r.pmWrites = 789;
+    r.epochs = 42;
+    r.pbOccMean = 3.25;
+    r.media = "cxl-dram";
+    r.persistP99 = 512;
+    CrashVerdict &v = e.verdict;
+    v.consistent = false;
+    v.message = "epoch 3 of thread 1 visible without epoch 2";
+    v.crashTick = 100000;
+    v.actualTick = 100004;
+    v.committedUpTo = {3, 5, 0, 7};
+    v.storesLogged = 611;
+    v.statesChecked = 4096;
+    v.statesReachable = 8192;
+    v.distinctStates = 1024;
+    v.permuteAtoms = 13;
+    v.truncated = true;
+    v.inconsistentStates = 2;
+    v.firstBadState = "2a";
+    return e;
+}
+
+ShardManifest
+sampleManifest()
+{
+    ShardManifest m;
+    m.shard.index = 1;
+    m.shard.count = 3;
+    m.shard.salt = "salt with spaces";
+    m.sweep = "00ff00ff00ff00ff";
+    m.owned = 2;
+    m.simulated = 1;
+    m.wallSeconds = 1.25;
+
+    ManifestJob run;
+    run.key = "exp-0123456789abcdef";
+    run.workload = "queue";
+    run.model = ModelKind::Hops;
+    run.pm = PersistencyModel::Release;
+    run.cores = 2;
+    run.seed = 7;
+    run.ops = 20;
+    run.status = ShardJobStatus::Done;
+    m.jobs.push_back(run);
+
+    ManifestJob perm = run;
+    perm.key = "exp-fedcba9876543210";
+    perm.kind = JobKind::Permute;
+    perm.model = ModelKind::Asap;
+    perm.pm = PersistencyModel::Epoch;
+    perm.crashTick = 1234;
+    perm.permuteBound = 256;
+    perm.permuteSeed = 3;
+    perm.permuteFault = "drop-undo";
+    perm.permuteState = "1f";
+    perm.status = ShardJobStatus::Claimed;
+    m.jobs.push_back(perm);
+
+    ManifestJob serve = run;
+    serve.key = "exp-00000000deadbeef";
+    serve.workload = "serve:kv-zipf";
+    serve.mediaPerMc = "paper-table2,cxl-dram";
+    serve.model = ModelKind::Eadr;
+    serve.status = ShardJobStatus::Other;
+    m.jobs.push_back(serve);
+    return m;
+}
+
+TEST(CodecFuzz, CacheEntryMutantsRejectOrRoundTrip)
+{
+    const std::string text = serializeEntry(samplePermuteEntry());
+    CachedResult parsed;
+    ASSERT_TRUE(deserializeEntry(text, parsed));
+
+    Rng rng(0xca5e);
+    std::size_t accepted = 0;
+    for (std::size_t i = 0; i < kMutants; ++i) {
+        const std::string m = mutate(text, rng);
+        CachedResult e;
+        std::string why;
+        if (deserializeEntry(m, e, &why)) {
+            ++accepted;
+            CachedResult again;
+            EXPECT_TRUE(deserializeEntry(serializeEntry(e), again, &why))
+                << "mutant " << i << ": " << why;
+        } else {
+            EXPECT_FALSE(why.empty()) << "mutant " << i;
+        }
+    }
+    // Both outcomes occur, so the mutants really reach the parser.
+    EXPECT_GT(accepted, 0u);
+    EXPECT_LT(accepted, kMutants);
+}
+
+TEST(CodecFuzz, ManifestMutantsRejectOrRoundTrip)
+{
+    const std::string text = serializeManifest(sampleManifest());
+    ShardManifest parsed;
+    ASSERT_TRUE(deserializeManifest(text, parsed));
+
+    Rng rng(0x3a71);
+    std::size_t accepted = 0;
+    for (std::size_t i = 0; i < kMutants; ++i) {
+        const std::string m = mutate(text, rng);
+        ShardManifest out;
+        std::string why;
+        if (deserializeManifest(m, out, &why)) {
+            ++accepted;
+            ShardManifest again;
+            EXPECT_TRUE(
+                deserializeManifest(serializeManifest(out), again, &why))
+                << "mutant " << i << ": " << why;
+        } else {
+            EXPECT_FALSE(why.empty()) << "mutant " << i;
+        }
+    }
+    EXPECT_GT(accepted, 0u);
+    EXPECT_LT(accepted, kMutants);
+}
+
+} // namespace
+} // namespace asap

@@ -1,15 +1,19 @@
 /**
  * @file
  * Tests for the distributed-execution subsystem (src/dist/): shard
- * assignment, the cooperative lease protocol, manifest round-trips,
- * and the end-to-end guarantee the subsystem exists for — N shards
- * over a shared cache merge byte-identically to a single-host run,
- * with every simulation executed exactly once cluster-wide.
+ * assignment, the cooperative lease protocol (including emergency
+ * release on fatal signals), manifest round-trips, and the end-to-end
+ * guarantee the subsystem exists for — N shards over a shared cache
+ * merge byte-identically to a single-host run, with every simulation
+ * executed exactly once cluster-wide.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
+#include <csignal>
 #include <filesystem>
 #include <set>
 #include <sstream>
@@ -65,6 +69,13 @@ sampleJobs()
     perm.permuteFault = "drop-undo";
     perm.permuteState = "1f";
     jobs.push_back(perm);
+    // A streamed serve job on heterogeneous per-MC media, so merges
+    // must reproduce the media and serve columns it switches on.
+    ExperimentJob serve = jobs.front();
+    serve.workload = "serve:kv-zipf";
+    serve.cfg.numMCs = 2;
+    serve.cfg.mediaPerMc = "paper-table2,cxl-dram";
+    jobs.push_back(serve);
     jobs.push_back(jobs.front()); // duplicate: follows its leader
     return jobs;
 }
@@ -214,6 +225,51 @@ TEST(Lease, HeartbeatRefreshesHeldLeases)
     EXPECT_TRUE(a.isFresh(path));
 }
 
+TEST(Lease, EmergencyReleaseUnlinksHeldLeases)
+{
+    const std::string dir = scratchDir("asap_lease_emergency");
+    LeaseConfig lc;
+    lc.dir = dir;
+    LeaseManager lm(lc);
+
+    ASSERT_EQ(lm.tryAcquire("job-a"), LeaseManager::Acquire::Acquired);
+    ASSERT_EQ(lm.tryAcquire("job-b"), LeaseManager::Acquire::Acquired);
+    EXPECT_TRUE(fs::exists(lm.leasePath("job-a")));
+    EXPECT_GE(LeaseManager::emergencyRegisteredCount(), 2u);
+
+    // Normal release must disarm its slot (no double-release later).
+    lm.release("job-b");
+    EXPECT_FALSE(fs::exists(lm.leasePath("job-b")));
+
+    EXPECT_GE(LeaseManager::emergencyReleaseAll(), 1u);
+    EXPECT_FALSE(fs::exists(lm.leasePath("job-a")));
+    EXPECT_EQ(LeaseManager::emergencyRegisteredCount(), 0u);
+}
+
+TEST(LeaseDeathTest, SignalHandlerReleasesLeasesBeforeDying)
+{
+    const std::string dir = scratchDir("asap_lease_signal");
+    const std::string leaseFile = dir + "/job-x.lease";
+
+    EXPECT_EXIT(
+        {
+            installLeaseSignalHandler();
+            LeaseConfig lc;
+            lc.dir = dir;
+            LeaseManager lm(lc);
+            if (lm.tryAcquire("job-x") !=
+                LeaseManager::Acquire::Acquired)
+                ::_exit(3);
+            ::raise(SIGTERM); // handler unlinks, then re-raises
+            ::_exit(4);       // unreachable if the handler re-raised
+        },
+        ::testing::KilledBySignal(SIGTERM), "");
+
+    // The interrupted process must not have stranded its lease for a
+    // TTL: other shards can claim the job immediately.
+    EXPECT_FALSE(fs::exists(leaseFile));
+}
+
 TEST(Manifest, SerializationRoundTrips)
 {
     ShardManifest m;
@@ -261,6 +317,8 @@ TEST(Manifest, SerializationRoundTrips)
         EXPECT_EQ(out.jobs[i].key, m.jobs[i].key);
         EXPECT_EQ(out.jobs[i].kind, m.jobs[i].kind);
         EXPECT_EQ(out.jobs[i].workload, m.jobs[i].workload);
+        EXPECT_EQ(out.jobs[i].media, m.jobs[i].media);
+        EXPECT_EQ(out.jobs[i].mediaPerMc, m.jobs[i].mediaPerMc);
         EXPECT_EQ(out.jobs[i].model, m.jobs[i].model);
         EXPECT_EQ(out.jobs[i].pm, m.jobs[i].pm);
         EXPECT_EQ(out.jobs[i].cores, m.jobs[i].cores);
@@ -289,12 +347,12 @@ TEST(Manifest, RejectsDamagedText)
     EXPECT_NE(why.find("truncated"), std::string::npos);
 
     std::string wrongVersion = good;
-    wrongVersion.replace(wrongVersion.find("manifest 3"), 10,
+    wrongVersion.replace(wrongVersion.find("manifest 4"), 10,
                          "manifest 9");
     EXPECT_FALSE(deserializeManifest(wrongVersion, out, &why));
     EXPECT_NE(why.find("version"), std::string::npos);
 
-    EXPECT_FALSE(deserializeManifest("manifest 3\nbogus 3\nend 1\n",
+    EXPECT_FALSE(deserializeManifest("manifest 4\nbogus 3\nend 1\n",
                                      out, &why));
     EXPECT_NE(why.find("unknown field"), std::string::npos);
 }

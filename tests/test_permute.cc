@@ -2,7 +2,7 @@
  * @file
  * Tests for the crash-state permuter: the enumerator core (atom
  * derivation, state masks, sampling bounds), the Permute job kind
- * through the engine (dispatch, cache entries, wire codec, emitters),
+ * through the engine (dispatch, cache entries, emitters),
  * coverage reporting, and the fault hook that proves the checker
  * rejects states a broken recovery policy reaches.
  */
@@ -19,7 +19,6 @@
 #include "permute/permute.hh"
 #include "recovery/checker.hh"
 #include "sim/log.hh"
-#include "svc/wire.hh"
 
 namespace asap
 {
@@ -363,36 +362,6 @@ TEST(PermuteJobs, EntrySerializationRoundTripsCoverage)
     ASSERT_TRUE(deserializeEntry(serializeEntry(e), back));
     EXPECT_EQ(back.kind, JobKind::Permute);
     expectSamePermuteVerdict(e.verdict, back.verdict);
-}
-
-TEST(PermuteJobs, WireCodecRoundTripsPermuteJobs)
-{
-    JobSet set;
-    SimConfig cfg;
-    cfg.model = ModelKind::Asap;
-    cfg.persistency = PersistencyModel::Release;
-    set.addPermute("queue", cfg, tinyParams(), 31337, 512, 9,
-                   "drop-undo", "1f");
-    const ExperimentJob &job = set.jobs()[0];
-
-    ExperimentJob back;
-    std::string why;
-    ASSERT_TRUE(jobFromJson(jobToJson(job), back, &why)) << why;
-    EXPECT_EQ(back.kind, JobKind::Permute);
-    EXPECT_EQ(back.permuteBound, 512u);
-    EXPECT_EQ(back.permuteSeed, 9u);
-    EXPECT_EQ(back.permuteFault, "drop-undo");
-    EXPECT_EQ(back.permuteState, "1f");
-    // Bit-identical addressing across the wire: same cache key.
-    EXPECT_EQ(jobKey(back), jobKey(job));
-
-    // Bad knobs are rejected with a reason, not accepted silently.
-    Json bad = jobToJson(job);
-    bad.set("permuteFault", Json::str("explode"));
-    EXPECT_FALSE(jobFromJson(bad, back, &why));
-    bad = jobToJson(job);
-    bad.set("permuteState", Json::str("not-hex"));
-    EXPECT_FALSE(jobFromJson(bad, back, &why));
 }
 
 // --------------------------------------------- end-to-end experiments
