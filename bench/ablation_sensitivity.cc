@@ -78,8 +78,6 @@ main(int argc, char **argv)
     const std::size_t hoEadr = addKind("handoff", ModelKind::Eadr,
                                        defCfg);
 
-    if (maybeRunShard(args, set.jobs()))
-        return 0;
     const SweepResult sr = runJobs(set.jobs(), args.options());
 
     std::printf("=== Ablation: recovery-table entries (ASAP, %s) ===\n",

@@ -2,7 +2,7 @@
  * @file
  * Shared helpers for the figure-reproduction benches.
  *
- * Every bench accepts:
+ * Every engine-backed bench accepts:
  *   --ops N        high-level operations per thread (default 200)
  *   --seed S       RNG seed
  *   --workload W   restrict to one workload (default: all)
@@ -13,12 +13,13 @@
  *   --profile      host-time phase breakdown on stderr after the run
  *   --list-media   print the media-profile registry and exit
  *   --list-workloads  print the workload registry and exit
- *   --shard i/n    run only shard i of n (requires ASAP_CACHE_DIR);
- *                  results go to the shared cache + a manifest, and
- *                  bench/sweep_merge reassembles the sweep afterwards
- *   --claim        with --shard: also reclaim dead shards' jobs
- *   --salt S       re-deal the shard partition (must match cluster-wide)
- *   --lease-ttl S  claim-protocol lease staleness threshold (seconds)
+ *
+ * BenchArgs::parseFlag parses them in one place; a bench with flags
+ * of its own tries those first and falls back to it. A bench rejects
+ * a common flag it has no use for rather than ignore it: media_sweep
+ * takes --profiles instead of --media, serve_bench takes --scenario
+ * and --list-scenarios instead of --workload and --list-workloads,
+ * and fig13 runs only its own microbenchmark (no --workload).
  *
  * Benches build an ExperimentJob list (JobSet or SweepSpec), run it
  * through the exp engine, and format tables from the deterministic,
@@ -29,7 +30,6 @@
 #ifndef ASAP_BENCH_BENCH_UTIL_HH
 #define ASAP_BENCH_BENCH_UTIL_HH
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -37,8 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "dist/executor.hh"
-#include "dist/shard.hh"
 #include "media/media.hh"
 #include "exp/emit.hh"
 #include "exp/engine.hh"
@@ -62,77 +60,69 @@ struct BenchArgs
     bool progress = false; //!< stderr progress/ETA lines
     bool profile = false;  //!< stderr host-time phase breakdown
 
-    bool sharded = false; //!< --shard given: distributed mode
-    ShardSpec shard;      //!< which slice (with --salt folded in)
-    bool claim = false;   //!< reclaim dead shards' jobs
-    double leaseTtl = 60.0; //!< lease staleness threshold
+    /**
+     * Consume the common flag at argv[i] and its value, leaving i on
+     * the last argument used. Returns false if argv[i] is not a
+     * common flag or its value is missing, so the caller reports
+     * usage.
+     */
+    bool
+    parseFlag(int argc, char **argv, int &i)
+    {
+        const char *arg = argv[i];
+        const bool hasValue = i + 1 < argc;
+        if (!std::strcmp(arg, "--ops") && hasValue) {
+            ops = static_cast<unsigned>(
+                std::strtoul(argv[++i], nullptr, 0));
+        } else if (!std::strcmp(arg, "--seed") && hasValue) {
+            seed = std::strtoull(argv[++i], nullptr, 0);
+        } else if (!std::strcmp(arg, "--workload") && hasValue) {
+            workload = argv[++i];
+        } else if (!std::strcmp(arg, "--media") && hasValue) {
+            media = argv[++i];
+            if (!isMediaProfile(media)) {
+                std::fprintf(stderr, "error: unknown media profile "
+                             "'%s' (try --list-media)\n",
+                             media.c_str());
+                std::exit(2);
+            }
+        } else if (!std::strcmp(arg, "--list-media")) {
+            for (const MediaProfileInfo &m : allMediaProfiles())
+                std::printf("%-14s %s\n", m.name.c_str(),
+                            m.description.c_str());
+            std::exit(0);
+        } else if (!std::strcmp(arg, "--list-workloads")) {
+            for (const WorkloadInfo &w : allWorkloads())
+                std::printf("%-10s %s\n", w.name.c_str(),
+                            w.description.c_str());
+            std::exit(0);
+        } else if (!std::strcmp(arg, "--jobs") && hasValue) {
+            jobs = static_cast<unsigned>(
+                std::strtoul(argv[++i], nullptr, 0));
+        } else if (!std::strcmp(arg, "--json") && hasValue) {
+            jsonPath = argv[++i];
+        } else if (!std::strcmp(arg, "--progress")) {
+            progress = true;
+        } else if (!std::strcmp(arg, "--profile")) {
+            profile = true;
+        } else {
+            return false;
+        }
+        return true;
+    }
 
     static BenchArgs
     parse(int argc, char **argv)
     {
         BenchArgs a;
         for (int i = 1; i < argc; ++i) {
-            if (!std::strcmp(argv[i], "--ops") && i + 1 < argc) {
-                a.ops = static_cast<unsigned>(
-                    std::strtoul(argv[++i], nullptr, 0));
-            } else if (!std::strcmp(argv[i], "--seed") &&
-                       i + 1 < argc) {
-                a.seed = std::strtoull(argv[++i], nullptr, 0);
-            } else if (!std::strcmp(argv[i], "--workload") &&
-                       i + 1 < argc) {
-                a.workload = argv[++i];
-            } else if (!std::strcmp(argv[i], "--media") &&
-                       i + 1 < argc) {
-                a.media = argv[++i];
-                if (!isMediaProfile(a.media)) {
-                    std::fprintf(stderr, "error: unknown media "
-                                 "profile '%s' (try --list-media)\n",
-                                 a.media.c_str());
-                    std::exit(2);
-                }
-            } else if (!std::strcmp(argv[i], "--list-media")) {
-                for (const MediaProfileInfo &m : allMediaProfiles())
-                    std::printf("%-14s %s\n", m.name.c_str(),
-                                m.description.c_str());
-                std::exit(0);
-            } else if (!std::strcmp(argv[i], "--list-workloads")) {
-                for (const WorkloadInfo &w : allWorkloads())
-                    std::printf("%-10s %s\n", w.name.c_str(),
-                                w.description.c_str());
-                std::exit(0);
-            } else if (!std::strcmp(argv[i], "--jobs") &&
-                       i + 1 < argc) {
-                a.jobs = static_cast<unsigned>(
-                    std::strtoul(argv[++i], nullptr, 0));
-            } else if (!std::strcmp(argv[i], "--json") &&
-                       i + 1 < argc) {
-                a.jsonPath = argv[++i];
-            } else if (!std::strcmp(argv[i], "--progress")) {
-                a.progress = true;
-            } else if (!std::strcmp(argv[i], "--profile")) {
-                a.profile = true;
-            } else if (!std::strcmp(argv[i], "--shard") &&
-                       i + 1 < argc) {
-                const std::string salt = a.shard.salt; // keep --salt
-                a.shard = parseShardSpec(argv[++i]);
-                a.shard.salt = salt;
-                a.sharded = true;
-            } else if (!std::strcmp(argv[i], "--claim")) {
-                a.claim = true;
-            } else if (!std::strcmp(argv[i], "--salt") &&
-                       i + 1 < argc) {
-                a.shard.salt = argv[++i];
-            } else if (!std::strcmp(argv[i], "--lease-ttl") &&
-                       i + 1 < argc) {
-                a.leaseTtl = std::strtod(argv[++i], nullptr);
-            } else {
+            if (!a.parseFlag(argc, argv, i)) {
                 std::fprintf(stderr,
                              "usage: %s [--ops N] [--seed S] "
                              "[--workload W] [--media P] [--jobs N] "
                              "[--json PATH] [--progress] [--profile] "
-                             "[--list-media] [--list-workloads] "
-                             "[--shard i/n [--claim] [--salt S] "
-                             "[--lease-ttl SEC]]\n", argv[0]);
+                             "[--list-media] [--list-workloads]\n",
+                             argv[0]);
                 std::exit(2);
             }
         }
@@ -180,21 +170,6 @@ struct BenchArgs
         opt.progress = progress;
         return opt;
     }
-
-    DistOptions
-    distOptions() const
-    {
-        DistOptions opt;
-        opt.shard = shard;
-        opt.claim = claim;
-        opt.jobs = jobs;
-        opt.progress = progress;
-        opt.leaseTtlSeconds = leaseTtl;
-        // Keep heartbeats comfortably inside the TTL even when tests
-        // shrink it to force reclaim.
-        opt.heartbeatSeconds = std::min(10.0, leaseTtl / 4.0);
-        return opt;
-    }
 };
 
 /** Geometric mean of a series (ignores non-positive entries). */
@@ -239,6 +214,17 @@ printHostProfile()
                  static_cast<unsigned long long>(hp.simRuns));
 }
 
+/** Write the artifact if --json was given. */
+inline void
+writeArtifact(const BenchArgs &args, const SweepResult &sr)
+{
+    // Report artifact failures directly: benches run with
+    // setLogQuiet(true), which would swallow emitToFile's warn().
+    if (!args.jsonPath.empty() && !emitToFile(args.jsonPath, sr))
+        std::fprintf(stderr, "error: could not write sweep artifact "
+                     "to %s\n", args.jsonPath.c_str());
+}
+
 /**
  * Shared bench epilogue: write the artifact if --json was given and
  * report the engine's dedup/cache accounting. The counters are
@@ -248,11 +234,7 @@ printHostProfile()
 inline void
 finishSweep(const BenchArgs &args, const SweepResult &sr)
 {
-    // Report artifact failures directly: benches run with
-    // setLogQuiet(true), which would swallow emitToFile's warn().
-    if (!args.jsonPath.empty() && !emitToFile(args.jsonPath, sr))
-        std::fprintf(stderr, "error: could not write sweep artifact "
-                     "to %s\n", args.jsonPath.c_str());
+    writeArtifact(args, sr);
     std::printf("[sweep: %zu jobs, %zu simulated, %llu cache hits]\n",
                 sr.jobs.size(), sr.uniqueRuns,
                 static_cast<unsigned long long>(sr.cacheHits));
@@ -264,35 +246,6 @@ finishSweep(const BenchArgs &args, const SweepResult &sr)
                  static_cast<unsigned long long>(sr.traceDiskHits));
     if (args.profile)
         printHostProfile();
-}
-
-/**
- * Distributed-mode hook. When --shard i/n was given, run only this
- * shard's slice of @p jobs — results land in the shared cache and a
- * per-shard manifest, not in a table — print the shard summary, and
- * return true so the bench exits without formatting anything.
- * Reassemble with bench/sweep_merge once every shard has finished.
- */
-inline bool
-maybeRunShard(const BenchArgs &args,
-              const std::vector<ExperimentJob> &jobs)
-{
-    if (!args.sharded)
-        return false;
-    const ShardManifest m = runJobsSharded(jobs, args.distOptions());
-    std::printf("[shard %s of sweep %s: %zu jobs, %zu owned, "
-                "%zu simulated, %zu claimed, %zu cached, %zu leased, "
-                "%zu skipped]\n",
-                toString(m.shard).c_str(), m.sweep.c_str(),
-                m.jobs.size(), m.owned, m.simulated, m.claimed,
-                m.cachedHits, m.leasedSkipped, m.otherSkipped);
-    std::printf("[manifest: %s]\n", m.path.c_str());
-    std::printf("[merge: build/bench/sweep_merge --cache-dir %s "
-                "--sweep %s]\n",
-                processCache().diskDir().c_str(), m.sweep.c_str());
-    if (args.profile)
-        printHostProfile();
-    return true;
 }
 
 } // namespace asap

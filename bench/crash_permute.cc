@@ -35,12 +35,7 @@ namespace
 
 struct PermuteArgs
 {
-    unsigned ops = 200;
-    std::uint64_t seed = 1;
-    std::string workload; //!< empty = all Table III workloads
-    std::string media = kDefaultMediaProfile; //!< media profile
-    unsigned jobs = 0;
-    std::string jsonPath;
+    BenchArgs bench; //!< common flags; no --workload = all of Table III
 
     unsigned ticks = 12;  //!< crash points per configuration
     std::string strategy = "stride";
@@ -59,12 +54,6 @@ struct PermuteArgs
     std::string model = "asap";
     std::string pm = "rp";
     std::uint64_t crashTick = 0;
-
-    bool progress = false; //!< stderr progress/ETA lines
-    bool sharded = false;  //!< --shard: distributed permute mode
-    ShardSpec shard;
-    bool claim = false;
-    double leaseTtl = 60.0;
 };
 
 [[noreturn]] void
@@ -80,9 +69,8 @@ usage(const char *argv0)
         "m1_pm1,m2_pm2,...]\n"
         "          [--bound N] [--sample-seed S] [--inject-fault F]\n"
         "          [--engine E] [--permute-jobs N]\n"
-        "          [--progress]\n"
-        "          [--shard i/n [--claim] [--salt S] "
-        "[--lease-ttl SEC]]\n"
+        "          [--progress] [--profile] [--list-media] "
+        "[--list-workloads]\n"
         "       %s --repro --workload W [--media P] --model M --pm P "
         "--cores N\n"
         "          --ops N --seed S --crash-tick T [--bound N] "
@@ -104,32 +92,7 @@ parseArgs(int argc, char **argv)
     };
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        if (!std::strcmp(arg, "--ops"))
-            a.ops = unsigned(std::strtoul(need(i), nullptr, 0)), ++i;
-        else if (!std::strcmp(arg, "--seed"))
-            a.seed = std::strtoull(need(i), nullptr, 0), ++i;
-        else if (!std::strcmp(arg, "--workload"))
-            a.workload = need(i), ++i;
-        else if (!std::strcmp(arg, "--media")) {
-            a.media = need(i), ++i;
-            if (!isMediaProfile(a.media)) {
-                std::fprintf(stderr, "error: unknown media profile "
-                             "'%s' (try --list-media)\n",
-                             a.media.c_str());
-                std::exit(2);
-            }
-        }
-        else if (!std::strcmp(arg, "--list-media")) {
-            for (const MediaProfileInfo &m : allMediaProfiles())
-                std::printf("%-14s %s\n", m.name.c_str(),
-                            m.description.c_str());
-            std::exit(0);
-        }
-        else if (!std::strcmp(arg, "--jobs"))
-            a.jobs = unsigned(std::strtoul(need(i), nullptr, 0)), ++i;
-        else if (!std::strcmp(arg, "--json"))
-            a.jsonPath = need(i), ++i;
-        else if (!std::strcmp(arg, "--ticks"))
+        if (!std::strcmp(arg, "--ticks"))
             a.ticks = unsigned(std::strtoul(need(i), nullptr, 0)), ++i;
         else if (!std::strcmp(arg, "--strategy"))
             a.strategy = need(i), ++i;
@@ -197,20 +160,7 @@ parseArgs(int argc, char **argv)
             a.pm = need(i), ++i;
         else if (!std::strcmp(arg, "--crash-tick"))
             a.crashTick = std::strtoull(need(i), nullptr, 0), ++i;
-        else if (!std::strcmp(arg, "--progress"))
-            a.progress = true;
-        else if (!std::strcmp(arg, "--shard")) {
-            const std::string salt = a.shard.salt; // keep --salt
-            a.shard = parseShardSpec(need(i)), ++i;
-            a.shard.salt = salt;
-            a.sharded = true;
-        } else if (!std::strcmp(arg, "--claim"))
-            a.claim = true;
-        else if (!std::strcmp(arg, "--salt"))
-            a.shard.salt = need(i), ++i;
-        else if (!std::strcmp(arg, "--lease-ttl"))
-            a.leaseTtl = std::strtod(need(i), nullptr), ++i;
-        else
+        else if (!a.bench.parseFlag(argc, argv, i))
             usage(argv[0]);
     }
     return a;
@@ -239,15 +189,6 @@ parseModels(const std::string &list)
         start = end + 1;
     }
     return models;
-}
-
-WorkloadParams
-paramsFor(const PermuteArgs &a)
-{
-    WorkloadParams p;
-    p.opsPerThread = a.ops;
-    p.seed = a.seed;
-    return p;
 }
 
 void
@@ -291,48 +232,44 @@ printVerdict(const CrashVerdict &v)
 int
 runRepro(const PermuteArgs &a)
 {
-    SimConfig cfg;
-    cfg.mediaProfile = a.media;
+    const BenchArgs &b = a.bench;
+    SimConfig cfg = b.baseConfig();
     cfg.model = parseModelKind(a.model);
     cfg.persistency = parsePersistencyModel(a.pm);
     cfg.numCores = a.cores;
-    cfg.seed = a.seed;
+    cfg.seed = b.seed;
 
     JobSet set;
-    set.addPermute(a.workload, cfg, paramsFor(a), a.crashTick,
+    set.addPermute(b.workload, cfg, b.params(), a.crashTick,
                    a.bound, a.sampleSeed, a.fault, a.state, a.engine,
                    a.permuteThreads);
-    RunOptions opt;
-    opt.jobs = a.jobs;
-    const SweepResult sr = runJobs(set.jobs(), opt);
+    const SweepResult sr = runJobs(set.jobs(), b.options());
 
     std::printf("=== repro: %s%s%s %s/%s %u cores, crash @ %llu",
-                a.workload.c_str(),
-                a.media == kDefaultMediaProfile ? "" : " on ",
-                a.media == kDefaultMediaProfile ? "" : a.media.c_str(),
+                b.workload.c_str(),
+                b.media == kDefaultMediaProfile ? "" : " on ",
+                b.media == kDefaultMediaProfile ? "" : b.media.c_str(),
                 a.model.c_str(), a.pm.c_str(), a.cores,
                 (unsigned long long)a.crashTick);
     if (!a.state.empty())
         std::printf(", state %s", a.state.c_str());
     std::printf(" ===\n");
     printVerdict(sr.verdicts[0]);
+    writeArtifact(b, sr);
+    if (b.profile)
+        printHostProfile();
     return sr.verdicts[0].consistent ? 0 : 1;
 }
 
 int
-runPermuteCampaign(const PermuteArgs &a, const BenchArgs &emitArgs)
+runPermuteCampaign(const PermuteArgs &a)
 {
     CampaignSpec spec;
-    if (a.workload.empty()) {
-        for (const WorkloadInfo &w : allWorkloads())
-            spec.workloads.push_back(w.name);
-    } else {
-        spec.workloads.push_back(a.workload);
-    }
+    spec.workloads = a.bench.workloads();
     spec.models = parseModels(a.models);
     spec.coreCounts = {a.cores};
-    spec.params = paramsFor(a);
-    spec.base.mediaProfile = a.media;
+    spec.params = a.bench.params();
+    spec.base = a.bench.baseConfig();
     spec.strategy = parseTickStrategy(a.strategy);
     spec.ticksPerConfig = a.ticks;
     spec.tickSeed = a.tickSeed;
@@ -343,29 +280,7 @@ runPermuteCampaign(const PermuteArgs &a, const BenchArgs &emitArgs)
     spec.permuteEngine = a.engine;
     spec.permuteThreads = a.permuteThreads;
 
-    if (emitArgs.sharded) {
-        // Same protocol as the crash campaign: probes block until the
-        // whole configuration set is summarized (shared-cache leases
-        // keep that cluster-wide work deduplicated), then only the
-        // permute sweep itself is sharded. The probe memo is shared
-        // with crash campaigns over the same configs — probe jobs are
-        // plain Run jobs either way.
-        bool fromMemo = false;
-        const std::vector<ProbeStat> stats = ensureProbeStats(
-            spec, emitArgs.options(),
-            [&](std::vector<ExperimentJob> jobs, const RunOptions &) {
-                return ensureJobs(jobs, emitArgs.distOptions());
-            },
-            &fromMemo);
-        if (fromMemo)
-            std::fprintf(stderr,
-                         "probe phase: served from memoized summary\n");
-        const CampaignExpansion ex = expandCampaign(spec, stats);
-        if (maybeRunShard(emitArgs, ex.crashJobs))
-            return 0;
-    }
-
-    const CampaignResult cr = runCampaign(spec, emitArgs.options());
+    const CampaignResult cr = runCampaign(spec, a.bench.options());
     if (cr.probePhaseCached) {
         // stderr only: apart from the host-side states/s column, the
         // verdict table stays byte-identical between cold and warm
@@ -436,7 +351,7 @@ runPermuteCampaign(const PermuteArgs &a, const BenchArgs &emitArgs)
                     reproCommand(cr.sweep.jobs[i],
                                  v.firstBadState).c_str());
     }
-    finishSweep(emitArgs, cr.sweep);
+    finishSweep(a.bench, cr.sweep);
     return cr.allConsistent() ? 0 : 1;
 }
 
@@ -449,9 +364,9 @@ main(int argc, char **argv)
     const PermuteArgs a = parseArgs(argc, argv);
     // --progress also turns on the state-level meter inside the
     // permuter (states checked, states/s, ETA on stderr).
-    permute::setPermuteProgress(a.progress);
+    permute::setPermuteProgress(a.bench.progress);
     if (a.repro) {
-        if (a.workload.empty()) {
+        if (a.bench.workload.empty()) {
             std::fprintf(stderr,
                          "error: --repro needs --workload\n");
             return 2;
@@ -463,17 +378,5 @@ main(int argc, char **argv)
                      "error: --state only makes sense with --repro\n");
         return 2;
     }
-    // Reuse the shared bench epilogue (artifact + accounting line).
-    BenchArgs emitArgs;
-    emitArgs.ops = a.ops;
-    emitArgs.seed = a.seed;
-    emitArgs.workload = a.workload;
-    emitArgs.jobs = a.jobs;
-    emitArgs.jsonPath = a.jsonPath;
-    emitArgs.progress = a.progress;
-    emitArgs.sharded = a.sharded;
-    emitArgs.shard = a.shard;
-    emitArgs.claim = a.claim;
-    emitArgs.leaseTtl = a.leaseTtl;
-    return runPermuteCampaign(a, emitArgs);
+    return runPermuteCampaign(a);
 }

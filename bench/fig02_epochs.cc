@@ -26,8 +26,6 @@ main(int argc, char **argv)
     spec.coreCounts = {4};
     spec.params = args.params();
     spec.base = args.baseConfig();
-    if (maybeRunShard(args, spec.expand()))
-        return 0;
     const SweepResult sr = runSweep(spec, args.options());
 
     std::printf("=== Figure 2: epochs and cross-thread dependencies "

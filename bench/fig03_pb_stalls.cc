@@ -24,8 +24,6 @@ main(int argc, char **argv)
     spec.coreCounts = {4};
     spec.params = args.params();
     spec.base = args.baseConfig();
-    if (maybeRunShard(args, spec.expand()))
-        return 0;
     const SweepResult sr = runSweep(spec, args.options());
 
     std::printf("=== Figure 3: %% persist-buffer blocked cycles "

@@ -54,8 +54,6 @@ main(int argc, char **argv)
             colIdx[i].push_back(addJob(name, cols[i].kind, cols[i].pm));
         }
     }
-    if (maybeRunShard(args, set.jobs()))
-        return 0;
     const SweepResult sr = runJobs(set.jobs(), args.options());
 
     std::printf("=== Figure 8: speedup over baseline "

@@ -44,8 +44,6 @@ main(int argc, char **argv)
     spec.coreCounts = coreCounts;
     spec.params = args.params();
     spec.base = args.baseConfig();
-    if (maybeRunShard(args, spec.expand()))
-        return 0;
     const SweepResult sr = runSweep(spec, args.options());
 
     // Normalised throughput: ops scale with threads, so

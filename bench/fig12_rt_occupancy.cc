@@ -25,8 +25,6 @@ main(int argc, char **argv)
     spec.coreCounts = {4, 8};
     spec.params = args.params();
     spec.base = args.baseConfig();
-    if (maybeRunShard(args, spec.expand()))
-        return 0;
     const SweepResult sr = runSweep(spec, args.options());
 
     std::printf("=== Figure 12: RT max occupancy (ASAP RP) ===\n");

@@ -17,6 +17,11 @@ main(int argc, char **argv)
 {
     setLogQuiet(true);
     BenchArgs args = BenchArgs::parse(argc, argv);
+    if (!args.workload.empty()) {
+        std::fprintf(stderr, "error: fig13 runs its own bandwidth "
+                     "microbenchmark; --workload does not apply\n");
+        return 2;
+    }
     if (args.ops == 200)
         args.ops = 400; // bursts per thread
 
@@ -45,8 +50,6 @@ main(int argc, char **argv)
         cfg.nvmBanks = 24;
         rowIdx.push_back(set.add("bandwidth", cfg, args.params()));
     }
-    if (maybeRunShard(args, set.jobs()))
-        return 0;
     const SweepResult sr = runJobs(set.jobs(), args.options());
 
     std::printf("=== Figure 13: bandwidth utilisation "

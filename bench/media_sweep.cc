@@ -8,8 +8,7 @@
  * runtime under every model, ASAP's speedups, and the media-side
  * story: bytes written, time lost to the bandwidth-cap queue, and
  * bank utilisation. The profile axis rides the cache key, so re-runs
- * and sharded executions (--shard + bench/sweep_merge) dedup exactly
- * like any other sweep.
+ * dedup exactly like any other sweep.
  */
 
 #include "bench/bench_util.hh"
@@ -21,7 +20,7 @@ namespace
 
 struct MediaSweepArgs
 {
-    BenchArgs bench;                   //!< shared engine/shard flags
+    BenchArgs bench;                   //!< common flags (no --media)
     std::vector<std::string> profiles; //!< media axis (order kept)
     std::string models = "baseline_rp,hops_rp,asap_rp";
     unsigned cores = 4;
@@ -35,10 +34,8 @@ usage(const char *argv0)
         "usage: %s [--ops N] [--seed S] [--workload W]\n"
         "          [--profiles p1,p2,...] [--models m1_pm1,...] "
         "[--cores N]\n"
-        "          [--jobs N] [--json PATH] [--progress]\n"
-        "          [--list-media] [--list-workloads]\n"
-        "          [--shard i/n [--claim] [--salt S] "
-        "[--lease-ttl SEC]]\n",
+        "          [--jobs N] [--json PATH] [--progress] [--profile]\n"
+        "          [--list-media] [--list-workloads]\n",
         argv0);
     std::exit(2);
 }
@@ -89,50 +86,15 @@ parseArgs(int argc, char **argv)
     };
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        if (!std::strcmp(arg, "--ops"))
-            a.bench.ops = unsigned(std::strtoul(need(i), nullptr, 0)),
-            ++i;
-        else if (!std::strcmp(arg, "--seed"))
-            a.bench.seed = std::strtoull(need(i), nullptr, 0), ++i;
-        else if (!std::strcmp(arg, "--workload"))
-            a.bench.workload = need(i), ++i;
-        else if (!std::strcmp(arg, "--profiles"))
+        if (!std::strcmp(arg, "--profiles"))
             a.profiles = splitList(need(i)), ++i;
         else if (!std::strcmp(arg, "--models"))
             a.models = need(i), ++i;
         else if (!std::strcmp(arg, "--cores"))
             a.cores = unsigned(std::strtoul(need(i), nullptr, 0)), ++i;
-        else if (!std::strcmp(arg, "--jobs"))
-            a.bench.jobs = unsigned(std::strtoul(need(i), nullptr, 0)),
-            ++i;
-        else if (!std::strcmp(arg, "--json"))
-            a.bench.jsonPath = need(i), ++i;
-        else if (!std::strcmp(arg, "--progress"))
-            a.bench.progress = true;
-        else if (!std::strcmp(arg, "--list-media")) {
-            for (const MediaProfileInfo &m : allMediaProfiles())
-                std::printf("%-14s %s\n", m.name.c_str(),
-                            m.description.c_str());
-            std::exit(0);
-        }
-        else if (!std::strcmp(arg, "--list-workloads")) {
-            for (const WorkloadInfo &w : allWorkloads())
-                std::printf("%-10s %s\n", w.name.c_str(),
-                            w.description.c_str());
-            std::exit(0);
-        }
-        else if (!std::strcmp(arg, "--shard")) {
-            const std::string salt = a.bench.shard.salt; // keep --salt
-            a.bench.shard = parseShardSpec(need(i)), ++i;
-            a.bench.shard.salt = salt;
-            a.bench.sharded = true;
-        } else if (!std::strcmp(arg, "--claim"))
-            a.bench.claim = true;
-        else if (!std::strcmp(arg, "--salt"))
-            a.bench.shard.salt = need(i), ++i;
-        else if (!std::strcmp(arg, "--lease-ttl"))
-            a.bench.leaseTtl = std::strtod(need(i), nullptr), ++i;
-        else
+        else if (!std::strcmp(arg, "--media"))
+            usage(argv[0]); // the media axis is --profiles
+        else if (!a.bench.parseFlag(argc, argv, i))
             usage(argv[0]);
     }
     if (a.profiles.empty()) {
@@ -163,8 +125,6 @@ main(int argc, char **argv)
     spec.models = parseModels(a.models);
     spec.coreCounts = {a.cores};
     spec.params = a.bench.params();
-    if (maybeRunShard(a.bench, spec.expand()))
-        return 0;
     const SweepResult sr = runSweep(spec, a.bench.options());
 
     // Expansion order: workload-major, media next, models, cores

@@ -11,8 +11,7 @@
  * stderr so the constant-memory claim is checkable from scripts.
  *
  * The scenario axis rides the cache key like any workload name, so
- * re-runs and --shard slices (bench/sweep_merge) dedup and reassemble
- * exactly like the figure benches.
+ * re-runs dedup exactly like the figure benches.
  */
 
 #include <sys/resource.h>
@@ -27,7 +26,7 @@ namespace
 
 struct ServeBenchArgs
 {
-    BenchArgs bench;        //!< shared engine/shard flags
+    BenchArgs bench;        //!< common flags (no --workload)
     std::string scenarios;  //!< comma list; empty = all
     std::string models = "baseline_rp,hops_rp,asap_rp,eadr_rp";
     std::string mediaPerMc; //!< per-MC profile list; empty = uniform
@@ -48,9 +47,7 @@ usage(const char *argv0)
         "          [--media-per-mc p1,p2,...]\n"
         "          [--jobs N] [--json PATH]\n"
         "          [--progress] [--profile]\n"
-        "          [--list-scenarios] [--list-media]\n"
-        "          [--shard i/n [--claim] [--salt S] "
-        "[--lease-ttl SEC]]\n",
+        "          [--list-scenarios] [--list-media]\n",
         argv0);
     std::exit(2);
 }
@@ -101,12 +98,7 @@ parseArgs(int argc, char **argv)
     };
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        if (!std::strcmp(arg, "--ops"))
-            a.bench.ops = unsigned(std::strtoul(need(i), nullptr, 0)),
-            ++i;
-        else if (!std::strcmp(arg, "--seed"))
-            a.bench.seed = std::strtoull(need(i), nullptr, 0), ++i;
-        else if (!std::strcmp(arg, "--scenario"))
+        if (!std::strcmp(arg, "--scenario"))
             a.scenarios = need(i), ++i;
         else if (!std::strcmp(arg, "--models"))
             a.models = need(i), ++i;
@@ -120,47 +112,17 @@ parseArgs(int argc, char **argv)
         else if (!std::strcmp(arg, "--update-pct"))
             a.updatePct = unsigned(std::strtoul(need(i), nullptr, 0)),
             ++i;
-        else if (!std::strcmp(arg, "--media")) {
-            a.bench.media = need(i), ++i;
-            if (!isMediaProfile(a.bench.media)) {
-                std::fprintf(stderr, "error: unknown media profile "
-                             "'%s' (try --list-media)\n",
-                             a.bench.media.c_str());
-                std::exit(2);
-            }
-        } else if (!std::strcmp(arg, "--media-per-mc"))
+        else if (!std::strcmp(arg, "--media-per-mc"))
             a.mediaPerMc = need(i), ++i;
-        else if (!std::strcmp(arg, "--jobs"))
-            a.bench.jobs = unsigned(std::strtoul(need(i), nullptr, 0)),
-            ++i;
-        else if (!std::strcmp(arg, "--json"))
-            a.bench.jsonPath = need(i), ++i;
-        else if (!std::strcmp(arg, "--progress"))
-            a.bench.progress = true;
-        else if (!std::strcmp(arg, "--profile"))
-            a.bench.profile = true;
         else if (!std::strcmp(arg, "--list-scenarios")) {
             for (const ServeScenario &sc : allServeScenarios())
                 std::printf("%-18s %s\n", sc.workloadName().c_str(),
                             sc.description.c_str());
             std::exit(0);
-        } else if (!std::strcmp(arg, "--list-media")) {
-            for (const MediaProfileInfo &m : allMediaProfiles())
-                std::printf("%-14s %s\n", m.name.c_str(),
-                            m.description.c_str());
-            std::exit(0);
-        } else if (!std::strcmp(arg, "--shard")) {
-            const std::string salt = a.bench.shard.salt; // keep --salt
-            a.bench.shard = parseShardSpec(need(i)), ++i;
-            a.bench.shard.salt = salt;
-            a.bench.sharded = true;
-        } else if (!std::strcmp(arg, "--claim"))
-            a.bench.claim = true;
-        else if (!std::strcmp(arg, "--salt"))
-            a.bench.shard.salt = need(i), ++i;
-        else if (!std::strcmp(arg, "--lease-ttl"))
-            a.bench.leaseTtl = std::strtod(need(i), nullptr), ++i;
-        else
+        } else if (!std::strcmp(arg, "--workload") ||
+                   !std::strcmp(arg, "--list-workloads"))
+            usage(argv[0]); // the workload axis is --scenario
+        else if (!a.bench.parseFlag(argc, argv, i))
             usage(argv[0]);
     }
     for (const std::string &p : splitList(a.mediaPerMc)) {
@@ -224,8 +186,6 @@ main(int argc, char **argv)
             jobs.push_back(std::move(j));
         }
     }
-    if (maybeRunShard(a.bench, jobs))
-        return 0;
     const SweepResult sr = runJobs(std::move(jobs), a.bench.options());
 
     auto ns = [](std::uint64_t ticks) {

@@ -51,14 +51,6 @@ for bench in fig02_epochs fig03_pb_stalls fig08_performance \
     "$BUILD/bench/$bench" ${ARGS[@]+"${ARGS[@]}"} \
         ${EXTRA[@]+"${EXTRA[@]}"} \
         --json "$RESULTS/$bench.json" | tee "$RESULTS/$bench.txt"
-    if [ "$QUICK" = 1 ] && [ "$bench" != tab05_hwcost ]; then
-        # The same sweep, split across N hosts sharing ASAP_CACHE_DIR
-        # (see EXPERIMENTS.md "Distributed execution"):
-        echo "  [distributed: on each of N hosts run" \
-             "'$BUILD/bench/$bench ${ARGS[*]-} ${EXTRA[*]-}" \
-             "--shard i/N --claim', then '$BUILD/bench/sweep_merge'" \
-             "to rebuild $bench.csv]"
-    fi
     echo
 done
 echo "results written to $RESULTS/"

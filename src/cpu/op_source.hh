@@ -20,7 +20,7 @@
  *    which the core stops pulling;
  *  - streams must be a pure function of the source's construction
  *    parameters (seed included), never of simulated time — that is
- *    what makes results identical across --jobs and shards.
+ *    what makes results identical across --jobs.
  */
 
 #ifndef ASAP_CPU_OP_SOURCE_HH

@@ -12,6 +12,7 @@
 #include <thread>
 #include <utility>
 
+#include "sim/code_salt.hh"
 #include "sim/log.hh"
 
 namespace asap
@@ -19,34 +20,6 @@ namespace asap
 
 namespace
 {
-
-/** Bump when a change alters simulation results (invalidates disk
- *  entries written by older code).
- *
- *  v2: media-model subsystem (src/media/) — results gained media
- *  byte/queue-delay/bank-occupancy and XPBuffer hit/miss counters,
- *  and the key gained the media profile + override knobs.
- *
- *  v3: results gained eventsExecuted (kernel events per run, a
- *  deterministic stat); entries written by v2 would deserialize with
- *  it silently zero.
- *
- *  v4: the event kernel's same-tick tie-break changed from global
- *  scheduling order to (creator-domain send counter, domain id) so
- *  the domain-parallel engine can reproduce it exactly; same-tick
- *  cross-domain orderings (and therefore some stats) shift.
- *
- *  v5: the serving subsystem (src/serve/) — results gained the
- *  persist-latency tail fields (persistSamples/P50/P99/P999/Max) and
- *  serveRequests; the key conditionally gained mediaPerMc. Entries
- *  written by v4 would deserialize with them silently zero.
- *
- *  v6: the crash-state permuter (src/permute/) — JobKind::Permute
- *  jobs key the enumeration knobs (bound/seed/fault/state) and
- *  results gained the coverage fields (vStatesChecked &c.). Run and
- *  Crash keys are unchanged, but the bump keeps a v5 reader from
- *  choking on permute entries in a shared cache dir. */
-constexpr const char *kCodeSalt = "asap-sim-v6";
 
 /** Age beyond which an abandoned temp file is certainly garbage (no
  *  writer holds an insert open for minutes). */
@@ -443,7 +416,7 @@ ResultCache::ResultCache(std::string disk_dir) : dir(std::move(disk_dir))
     }
     if (!dir.empty()) {
         // Sweep up temp files from writers that died mid-insert (a
-        // killed shard, say). Recent ones may belong to a live
+        // killed sweep, say). Recent ones may belong to a live
         // concurrent writer, so only old droppings go.
         const std::size_t n = cleanStaleCacheTmp(dir, kStaleTmpSeconds);
         if (n > 0)
@@ -505,8 +478,8 @@ ResultCache::insert(const std::string &key, const CachedResult &e)
     if (dir.empty())
         return;
     // Unique temp name per thread, fsync, then atomic rename: after a
-    // power cut the entry is either absent or complete and durable —
-    // multi-host sweeps trust remote entries without re-checking.
+    // power cut the entry is either absent or complete and durable,
+    // and processes sharing the directory never read a partial one.
     std::ostringstream tmp;
     tmp << diskPath(key) << ".tmp." << std::this_thread::get_id();
     {

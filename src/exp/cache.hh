@@ -9,8 +9,8 @@
  * is configured — across processes (on-disk tier), so re-running an
  * unchanged sweep is instant.
  *
- * Bump kCodeSalt in cache.cc whenever a change alters simulation
- * results; stale disk entries then miss instead of lying.
+ * Bump kCodeSalt in sim/code_salt.hh whenever a change alters
+ * simulation results; stale disk entries then miss instead of lying.
  */
 
 #ifndef ASAP_EXP_CACHE_HH

@@ -30,8 +30,8 @@ namespace asap
 
 /**
  * How a probe phase runs its sweep: any callable with the runJobs()
- * shape. The default is runJobs itself; a sharded campaign passes
- * ensureJobs so every shard shares one cluster-wide probe phase.
+ * shape. The default is runJobs itself; a caller that keeps or
+ * instruments the probe sweep (perfbench/) passes its own.
  */
 using SweepRunner = std::function<SweepResult(std::vector<ExperimentJob>,
                                               const RunOptions &)>;
@@ -198,8 +198,8 @@ struct CampaignExpansion
 /**
  * Derive the crash sweep from probe results. @p probe_sr must be the
  * result of running campaignProbeJobs(spec) — tick selection is
- * deterministic in the spec and the probe stats, so every shard of a
- * distributed campaign expands an identical job list.
+ * deterministic in the spec and the probe stats, so a memoized probe
+ * phase expands the same job list as a fresh one.
  */
 CampaignExpansion expandCampaign(const CampaignSpec &spec,
                                  const SweepResult &probe_sr);

@@ -164,7 +164,7 @@ emitJson(std::ostream &os, const SweepResult &sr)
     // Permute throughput aggregate. Host-side numbers live in the
     // sweep header next to wallSeconds — the one non-deterministic
     // corner of the artifact — so per-row results stay byte-stable
-    // across hosts, cache states and shard splits. Zero hostNs (all
+    // across hosts, cache states and worker counts. Zero hostNs (all
     // verdicts cache-served) yields a zero rate.
     if (sr.hasPermuteJobs()) {
         std::uint64_t states = 0, ns = 0;

@@ -63,7 +63,7 @@ struct ExperimentJob
 
     /**
      * Check-loop execution knobs (engine name and worker threads).
-     * These deliberately do NOT enter job keys, caches or manifests:
+     * These deliberately do NOT enter job keys or caches:
      * every engine/thread-count combination produces bit-identical
      * verdicts, so keying them would only split the cache.
      */

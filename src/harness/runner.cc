@@ -17,6 +17,7 @@
 #include "pm/trace_io.hh"
 #include "recovery/checker.hh"
 #include "serve/op_stream.hh"
+#include "sim/code_salt.hh"
 #include "sim/hash.hh"
 #include "sim/log.hh"
 #include "workloads/registry.hh"
@@ -121,6 +122,8 @@ traceDiskPath(const std::string &dir, const std::string &key)
     return dir + "/trace-" + hex + ".bin";
 }
 
+/** Generation key: every input of trace generation, plus the code
+ *  salt so that a file recorded by an older generator never loads. */
 std::string
 traceKey(const std::string &workload, unsigned cores,
          const WorkloadParams &p)
@@ -128,7 +131,7 @@ traceKey(const std::string &workload, unsigned cores,
     std::ostringstream os;
     os << workload << '|' << cores << '|' << p.opsPerThread << '|'
        << p.keySpace << '|' << p.valueBytes << '|' << p.updatePct
-       << '|' << p.seed;
+       << '|' << p.seed << '|' << kCodeSalt;
     return os.str();
 }
 

@@ -119,10 +119,10 @@ void clearTraceCache();
  * Point the on-disk trace tier at @p dir (created if missing; empty
  * disables the tier). Overrides the ASAP_TRACE_DIR environment
  * variable, which is read once on first use. The directory may be
- * shared by concurrent processes and shards: files are written via
- * temp + rename and verified (version, embedded parameter key,
- * checksum) on load, so a corrupt or stale file costs a regeneration,
- * never a wrong trace.
+ * shared by concurrent processes: files are written via temp +
+ * rename and verified (version, embedded parameter key with the code
+ * salt, checksum) on load, so a corrupt or stale file costs a
+ * regeneration, never a wrong trace.
  */
 void setTraceDirectory(const std::string &dir);
 

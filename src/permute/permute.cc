@@ -761,7 +761,7 @@ deriveAtoms(const PermuteSnapshot &snap, FaultMode fault)
                                  u.epoch, u.line});
     }
 
-    // Canonical bit order: stable across runs, hosts and shards.
+    // Canonical bit order: stable across runs and hosts.
     std::sort(atoms.begin(), atoms.end(),
               [](const Atom &a, const Atom &b) {
                   if (a.kind != b.kind)

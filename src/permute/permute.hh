@@ -178,7 +178,7 @@ struct Atom
 /**
  * Derive the atom list for a snapshot, in the canonical order that
  * defines state-mask bit positions (sorted by kind, mc, thread,
- * epoch, line — stable across runs, hosts and shards).
+ * epoch, line — stable across runs and hosts).
  */
 std::vector<Atom> deriveAtoms(const PermuteSnapshot &snap,
                               FaultMode fault);

@@ -37,9 +37,9 @@ TraceSet loadTrace(const std::string &path);
 
 /**
  * Write @p traces to @p path via write-to-temp + fsync + rename, so
- * concurrent readers (other sweep processes, other shards) never see
- * a partial file. Never fatal: a full disk or unwritable directory
- * costs the cache entry, not the run.
+ * concurrent readers (other sweep processes) never see a partial
+ * file. Never fatal: a full disk or unwritable directory costs the
+ * cache entry, not the run.
  * @return false (with a warning logged) if the write failed
  */
 bool saveTraceAtomic(const TraceSet &traces, const std::string &path,

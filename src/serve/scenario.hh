@@ -11,8 +11,8 @@
  * tenant mix layered on top.
  *
  * Scenario workload names carry the "serve:" prefix (e.g.
- * "serve:kv-zipf") so the exp engine, caches, sweeps and shards can
- * tell streaming jobs from materialized ones by name alone.
+ * "serve:kv-zipf") so the exp engine, caches and sweeps can tell
+ * streaming jobs from materialized ones by name alone.
  */
 
 #ifndef ASAP_SERVE_SCENARIO_HH

@@ -3,8 +3,8 @@
  * Stable hashing.
  *
  * FNV-1a over bytes: the one hash every subsystem that must agree
- * across processes and hosts uses (result-cache keys, shard
- * assignment, sweep identities, trace-file names and checksums).
+ * across processes and hosts uses (result-cache keys, trace-file
+ * names and checksums).
  * Never switch this to std::hash — its value is unspecified across
  * standard libraries and would silently invalidate every shared
  * artifact.

@@ -5,7 +5,7 @@
  * bandwidth-cap queueing model, byte-identity of the default
  * `paper-table2` profile against seed-captured figure CSV rows,
  * cache-key separation between profiles, deterministic parallel
- * media sweeps, manifest round-trips and crash consistency on
+ * media sweeps (uniform and per-MC) and crash consistency on
  * non-default media.
  */
 
@@ -20,7 +20,6 @@
 #include "exp/emit.hh"
 #include "exp/engine.hh"
 #include "exp/sweep.hh"
-#include "dist/manifest.hh"
 #include "media/media.hh"
 #include "sim/log.hh"
 
@@ -36,6 +35,20 @@ params30()
     p.opsPerThread = 30;
     p.seed = 1;
     return p;
+}
+
+/** A streamed serve job on heterogeneous per-MC media. */
+ExperimentJob
+heteroServeJob()
+{
+    ExperimentJob j;
+    j.workload = "serve:kv-zipf";
+    j.cfg.model = ModelKind::Asap;
+    j.cfg.persistency = PersistencyModel::Release;
+    j.cfg.numMCs = 2;
+    j.cfg.mediaPerMc = "paper-table2,cxl-dram";
+    j.params = params30();
+    return j;
 }
 
 class MediaTest : public ::testing::Test
@@ -370,6 +383,8 @@ TEST_F(MediaTest, TwoProfileSweepDeterministicAcrossJobCounts)
     spec.models = {{ModelKind::Asap, PersistencyModel::Release}};
     spec.params = params30();
     ASSERT_EQ(spec.jobCount(), 4u);
+    std::vector<ExperimentJob> jobs = spec.expand();
+    jobs.push_back(heteroServeJob());
 
     ResultCache serialCache, parallelCache;
     RunOptions serial;
@@ -379,8 +394,9 @@ TEST_F(MediaTest, TwoProfileSweepDeterministicAcrossJobCounts)
     parallel.jobs = 8;
     parallel.cache = &parallelCache;
 
-    const SweepResult s = runSweep(spec, serial);
-    const SweepResult p = runSweep(spec, parallel);
+    const SweepResult s = runJobs(jobs, serial);
+    const SweepResult p = runJobs(jobs, parallel);
+    ASSERT_EQ(s.results.size(), 5u);
     ASSERT_EQ(s.results.size(), p.results.size());
     for (std::size_t i = 0; i < s.results.size(); ++i) {
         EXPECT_EQ(s.at(i).media, p.at(i).media);
@@ -393,7 +409,11 @@ TEST_F(MediaTest, TwoProfileSweepDeterministicAcrossJobCounts)
                   p.at(i).mediaBankBusyTicks);
         EXPECT_EQ(s.at(i).xpHits, p.at(i).xpHits);
         EXPECT_EQ(s.at(i).xpMisses, p.at(i).xpMisses);
+        EXPECT_EQ(s.at(i).serveRequests, p.at(i).serveRequests);
+        EXPECT_EQ(s.at(i).persistP99, p.at(i).persistP99);
     }
+    EXPECT_EQ(s.at(4).media, "paper-table2+cxl-dram");
+    EXPECT_GT(s.at(4).serveRequests, 0u);
 
     // The media actually matters: the bandwidth-starved profile is
     // slower than the paper's on the write-heavy queue workload, and
@@ -436,6 +456,20 @@ TEST_F(MediaTest, MediaColumnsAppearOnlyWithNonDefaultProfiles)
               std::string::npos);
     EXPECT_NE(mixedJson.str().find("\"mediaQueueDelayTicks\""),
               std::string::npos);
+
+    // Per-MC media alone switches them on too, and the row carries
+    // the '+'-joined profile list.
+    const SweepResult hetero = runJobs({heteroServeJob()}, opt);
+    EXPECT_TRUE(hetero.hasNonDefaultMedia());
+    std::ostringstream heteroCsv, heteroJson;
+    emitCsv(heteroCsv, hetero);
+    emitJson(heteroJson, hetero);
+    EXPECT_NE(heteroCsv.str().find(",media,"), std::string::npos);
+    EXPECT_NE(heteroCsv.str().find(",paper-table2+cxl-dram,"),
+              std::string::npos);
+    EXPECT_NE(
+        heteroJson.str().find("\"media\": \"paper-table2+cxl-dram\""),
+        std::string::npos);
 }
 
 TEST_F(MediaTest, CacheEntrySurvivesMediaFieldsRoundTrip)
@@ -461,32 +495,6 @@ TEST_F(MediaTest, CacheEntrySurvivesMediaFieldsRoundTrip)
     EXPECT_EQ(back.mediaBytesWritten, r.mediaBytesWritten);
     EXPECT_EQ(back.mediaQueueDelayTicks, r.mediaQueueDelayTicks);
     EXPECT_EQ(back.mediaBankBusyTicks, r.mediaBankBusyTicks);
-}
-
-TEST_F(MediaTest, ManifestJobCarriesMediaProfile)
-{
-    ExperimentJob job;
-    job.workload = "cceh";
-    job.cfg.mediaProfile = "optane-dcpmm";
-    job.cfg.model = ModelKind::Asap;
-    job.params = params30();
-
-    const ManifestJob mj = toManifestJob(job, jobKey(job));
-    EXPECT_EQ(mj.media, "optane-dcpmm");
-
-    ShardManifest m;
-    m.shard.index = 0;
-    m.shard.count = 1;
-    m.sweep = "cafebabe";
-    m.jobs.push_back(mj);
-    ShardManifest back;
-    std::string why;
-    ASSERT_TRUE(deserializeManifest(serializeManifest(m), back, &why))
-        << why;
-    ASSERT_EQ(back.jobs.size(), 1u);
-    EXPECT_EQ(back.jobs[0].media, "optane-dcpmm");
-    EXPECT_EQ(toExperimentJob(back.jobs[0]).cfg.mediaProfile,
-              "optane-dcpmm");
 }
 
 TEST_F(MediaTest, CrashCampaignConsistentOnNonDefaultMedia)

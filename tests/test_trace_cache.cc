@@ -3,10 +3,10 @@
  * On-disk TraceSet record/replay tests (the ASAP_TRACE_DIR tier).
  *
  * Clearing the in-process memoisation between runs simulates a fresh
- * process (a new sweep invocation or another shard) pointed at the
- * same directory: the second run must replay the recorded trace
- * byte-identically, and damaged or mismatched files must be rejected
- * loudly and regenerated silently correct.
+ * process (a new sweep invocation) pointed at the same directory: the
+ * second run must replay the recorded trace byte-identically, and
+ * damaged or mismatched files must be rejected loudly and regenerated
+ * silently correct.
  */
 
 #include <cstdint>
@@ -83,6 +83,21 @@ class TraceCacheTest : public ::testing::Test
         }
         EXPECT_FALSE(found.empty()) << "no trace file in " << dir;
         return found;
+    }
+
+    /** The generation key embedded in a version-2 trace file: a
+     *  24-byte header (magic, version, key length, thread count,
+     *  checksum), then the key bytes. */
+    static std::string
+    embeddedKey(const fs::path &file)
+    {
+        std::ifstream f(file, std::ios::binary);
+        std::uint32_t head[4] = {};
+        f.read(reinterpret_cast<char *>(head), sizeof(head));
+        f.seekg(24);
+        std::string key(head[2], '\0');
+        f.read(key.data(), static_cast<std::streamsize>(key.size()));
+        return key;
     }
 
     fs::path dir;
@@ -184,6 +199,33 @@ TEST_F(TraceCacheTest, ParameterKeyMismatchRegenerates)
     EXPECT_NE(log.find("regenerating"), std::string::npos) << log;
     EXPECT_NE(log.find("key mismatch"), std::string::npos) << log;
     EXPECT_EQ(serializeResult(good), serializeResult(redone));
+}
+
+TEST_F(TraceCacheTest, StaleCodeSaltRegenerates)
+{
+    // Trace keys carry the code salt, so a file recorded by a build
+    // with another salt is regenerated, not replayed.
+    const RunResult good = runOnce();
+    const fs::path file = traceFile();
+    const std::string key = embeddedKey(file);
+    const std::string salt = cacheCodeSalt();
+    const std::size_t at = key.find(salt);
+    ASSERT_NE(at, std::string::npos) << key;
+
+    std::string staleKey = key;
+    staleKey.replace(at, salt.size(), "asap-sim-v0");
+    const TraceSet stale = buildTrace("cceh", 2, params());
+    ASSERT_TRUE(saveTraceAtomic(stale, file.string(), staleKey));
+
+    clearTraceCache();
+    ::testing::internal::CaptureStderr();
+    const RunResult redone = runOnce();
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(log.find("regenerating"), std::string::npos) << log;
+    EXPECT_NE(log.find("key mismatch"), std::string::npos) << log;
+    EXPECT_EQ(traceCacheStats().diskHits, 0u);
+    EXPECT_EQ(serializeResult(good), serializeResult(redone));
+    EXPECT_EQ(embeddedKey(file), key); // rewritten under this salt
 }
 
 TEST_F(TraceCacheTest, UnsupportedVersionWarnsAndRegenerates)
