@@ -9,7 +9,6 @@
  *   --media P      NVM media profile (default: paper-table2)
  *   --jobs N       parallel simulations (default: hardware threads)
  *   --json PATH    write the sweep's raw results as JSON (.csv: CSV)
- *   --progress     rate-limited progress/ETA lines on stderr
  *   --profile      host-time phase breakdown on stderr after the run
  *   --list-media   print the media-profile registry and exit
  *   --list-workloads  print the workload registry and exit
@@ -20,6 +19,8 @@
  * takes --profiles instead of --media, serve_bench takes --scenario
  * and --list-scenarios instead of --workload and --list-workloads,
  * and fig13 runs only its own microbenchmark (no --workload).
+ * splitList and parseModels parse the comma lists those flags take
+ * (--models, --profiles, --scenario, --media-per-mc).
  *
  * Benches build an ExperimentJob list (JobSet or SweepSpec), run it
  * through the exp engine, and format tables from the deterministic,
@@ -57,8 +58,7 @@ struct BenchArgs
     std::string media = kDefaultMediaProfile; //!< media profile
     unsigned jobs = 0;    //!< sweep workers; 0 = hardware default
     std::string jsonPath; //!< empty = no artifact
-    bool progress = false; //!< stderr progress/ETA lines
-    bool profile = false;  //!< stderr host-time phase breakdown
+    bool profile = false; //!< stderr host-time phase breakdown
 
     /**
      * Consume the common flag at argv[i] and its value, leaving i on
@@ -101,8 +101,6 @@ struct BenchArgs
                 std::strtoul(argv[++i], nullptr, 0));
         } else if (!std::strcmp(arg, "--json") && hasValue) {
             jsonPath = argv[++i];
-        } else if (!std::strcmp(arg, "--progress")) {
-            progress = true;
         } else if (!std::strcmp(arg, "--profile")) {
             profile = true;
         } else {
@@ -120,7 +118,7 @@ struct BenchArgs
                 std::fprintf(stderr,
                              "usage: %s [--ops N] [--seed S] "
                              "[--workload W] [--media P] [--jobs N] "
-                             "[--json PATH] [--progress] [--profile] "
+                             "[--json PATH] [--profile] "
                              "[--list-media] [--list-workloads]\n",
                              argv[0]);
                 std::exit(2);
@@ -167,10 +165,57 @@ struct BenchArgs
     {
         RunOptions opt;
         opt.jobs = jobs;
-        opt.progress = progress;
         return opt;
     }
 };
+
+/** Split a comma list, skipping empty items ("a,,b" -> {a, b}). */
+inline std::vector<std::string>
+splitList(const std::string &list)
+{
+    std::vector<std::string> out;
+    std::size_t start = 0;
+    while (start <= list.size()) {
+        std::size_t end = list.find(',', start);
+        if (end == std::string::npos)
+            end = list.size();
+        if (end > start)
+            out.push_back(list.substr(start, end - start));
+        start = end + 1;
+    }
+    return out;
+}
+
+/**
+ * Parse a --models list ("asap_rp,hops_ep,...") into (model,
+ * persistency) pairs. An empty or unknown entry is a usage error:
+ * exit 2.
+ */
+inline std::vector<ModelPair>
+parseModels(const std::string &list)
+{
+    std::vector<ModelPair> models;
+    std::size_t start = 0;
+    while (start <= list.size()) {
+        std::size_t end = list.find(',', start);
+        if (end == std::string::npos)
+            end = list.size();
+        const std::string item = list.substr(start, end - start);
+        const std::size_t us = item.rfind('_');
+        ModelPair m;
+        if (us == std::string::npos ||
+            !tryParseModelKind(item.substr(0, us), m.first) ||
+            !tryParsePersistencyModel(item.substr(us + 1), m.second)) {
+            std::fprintf(stderr,
+                         "error: bad --models entry '%s' (want e.g. "
+                         "asap_rp)\n", item.c_str());
+            std::exit(2);
+        }
+        models.push_back(m);
+        start = end + 1;
+    }
+    return models;
+}
 
 /** Geometric mean of a series (ignores non-positive entries). */
 inline double

@@ -45,45 +45,10 @@ usage(const char *argv0)
         "          [--models m1_pm1,...] [--cores N] [--mcs N]\n"
         "          [--keyspace N] [--update-pct P] [--media P]\n"
         "          [--media-per-mc p1,p2,...]\n"
-        "          [--jobs N] [--json PATH]\n"
-        "          [--progress] [--profile]\n"
+        "          [--jobs N] [--json PATH] [--profile]\n"
         "          [--list-scenarios] [--list-media]\n",
         argv0);
     std::exit(2);
-}
-
-std::vector<std::string>
-splitList(const std::string &list)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= list.size()) {
-        std::size_t end = list.find(',', start);
-        if (end == std::string::npos)
-            end = list.size();
-        if (end > start)
-            out.push_back(list.substr(start, end - start));
-        start = end + 1;
-    }
-    return out;
-}
-
-std::vector<ModelPair>
-parseModels(const std::string &list)
-{
-    std::vector<ModelPair> models;
-    for (const std::string &item : splitList(list)) {
-        const std::size_t us = item.rfind('_');
-        if (us == std::string::npos) {
-            std::fprintf(stderr,
-                         "error: bad --models entry '%s' (want e.g. "
-                         "asap_rp)\n", item.c_str());
-            std::exit(2);
-        }
-        models.emplace_back(parseModelKind(item.substr(0, us)),
-                            parsePersistencyModel(item.substr(us + 1)));
-    }
-    return models;
 }
 
 ServeBenchArgs

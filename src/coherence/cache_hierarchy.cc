@@ -91,8 +91,6 @@ CacheHierarchy::access(std::uint16_t thread, std::uint64_t line,
             if (evictFilter && evictFilter(v.line)) {
                 ++*stLlcEvictDelayed;
             }
-            res.llcPmEvict = true;
-            res.evictedLine = v.line;
             ++*stLlcDirtyEvicts;
         }
     }

@@ -36,8 +36,6 @@ struct CacheAccess
     Tick latency = 0;       //!< cycles until the access completes
     bool conflict = false;  //!< line was modified by another thread
     std::uint16_t srcThread = 0; //!< that thread (valid when conflict)
-    bool llcPmEvict = false;     //!< a PM line was dropped from the LLC
-    std::uint64_t evictedLine = 0; //!< the dropped line
 };
 
 /** Private L1/L2 per core plus a shared LLC and a writer directory. */

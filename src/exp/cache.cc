@@ -504,85 +504,6 @@ ResultCache::insert(const std::string &key, const CachedResult &e)
         std::filesystem::remove(tmp.str(), ec);
 }
 
-std::string
-ResultCache::auxPath(const std::string &key) const
-{
-    return dir + "/" + key + ".aux";
-}
-
-bool
-ResultCache::lookupAux(const std::string &key, std::string &out)
-{
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        auto it = auxMem.find(key);
-        if (it != auxMem.end()) {
-            out = it->second;
-            ++counters.auxHits;
-            return true;
-        }
-    }
-    if (!dir.empty()) {
-        std::ifstream in(auxPath(key));
-        if (in) {
-            std::ostringstream text;
-            text << in.rdbuf();
-            std::string body = text.str();
-            // Salt-stamped header line; a mismatch means the text was
-            // derived by an incompatible code version.
-            const std::string stamp =
-                std::string("codeSalt ") + kCodeSalt + "\n";
-            if (body.compare(0, stamp.size(), stamp) == 0) {
-                body.erase(0, stamp.size());
-                std::lock_guard<std::mutex> lock(mu);
-                auxMem.emplace(key, body);
-                ++counters.auxHits;
-                out = std::move(body);
-                return true;
-            }
-            warn("ignoring aux cache entry ", auxPath(key),
-                 ": code-salt mismatch");
-        }
-    }
-    std::lock_guard<std::mutex> lock(mu);
-    ++counters.auxMisses;
-    return false;
-}
-
-void
-ResultCache::insertAux(const std::string &key, const std::string &text)
-{
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        auxMem[key] = text;
-    }
-    if (dir.empty())
-        return;
-    std::ostringstream tmp;
-    tmp << auxPath(key) << ".tmp." << std::this_thread::get_id();
-    {
-        const std::string stamped =
-            std::string("codeSalt ") + kCodeSalt + "\n" + text;
-        std::FILE *out = std::fopen(tmp.str().c_str(), "w");
-        if (!out)
-            return; // best-effort, like the result tier
-        const bool wrote =
-            std::fwrite(stamped.data(), 1, stamped.size(), out) ==
-                stamped.size() &&
-            std::fflush(out) == 0 && ::fsync(fileno(out)) == 0;
-        std::fclose(out);
-        if (!wrote) {
-            std::error_code ec;
-            std::filesystem::remove(tmp.str(), ec);
-            return;
-        }
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp.str(), auxPath(key), ec);
-    if (ec)
-        std::filesystem::remove(tmp.str(), ec);
-}
-
 bool
 ResultCache::lookup(const std::string &key, RunResult &out)
 {
@@ -614,7 +535,6 @@ ResultCache::clear()
 {
     std::lock_guard<std::mutex> lock(mu);
     mem.clear();
-    auxMem.clear();
     counters = CacheStats{};
 }
 

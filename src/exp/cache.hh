@@ -91,9 +91,6 @@ struct CacheStats
     std::uint64_t diskHits = 0; //!< loaded from the disk tier
     std::uint64_t misses = 0;   //!< had to simulate
 
-    std::uint64_t auxHits = 0;   //!< aux-tier entries served
-    std::uint64_t auxMisses = 0; //!< aux-tier lookups that failed
-
     std::uint64_t hits() const { return memHits + diskHits; }
 };
 
@@ -122,36 +119,17 @@ class ResultCache
     bool lookup(const std::string &key, RunResult &out);
     void insert(const std::string &key, const RunResult &r);
 
-    /**
-     * Auxiliary raw-text tier: memoized derivations of results (e.g.
-     * a crash campaign's probe summary) that are not themselves
-     * simulations. Same two-tier behaviour — in-memory map plus, when
-     * the disk tier is on, a `<key>.aux` file written temp+rename —
-     * and every entry is stamped with the code salt, so a derivation
-     * rule change invalidates stored text the same way a simulation
-     * change invalidates results.
-     * @return true and fills @p out on a hit
-     */
-    bool lookupAux(const std::string &key, std::string &out);
-
-    /** Store raw text under @p key in the aux tier. */
-    void insertAux(const std::string &key, const std::string &text);
-
     /** Counter snapshot. */
     CacheStats stats() const;
 
     /** Drop the in-memory tier and reset counters (tests). */
     void clear();
 
-    const std::string &diskDir() const { return dir; }
-
   private:
     std::string diskPath(const std::string &key) const;
-    std::string auxPath(const std::string &key) const;
 
     mutable std::mutex mu;
     std::unordered_map<std::string, CachedResult> mem;
-    std::unordered_map<std::string, std::string> auxMem;
     std::string dir;
     CacheStats counters;
 };

@@ -1,7 +1,6 @@
 #include "exp/crash_campaign.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <utility>
 
@@ -130,87 +129,17 @@ campaignProbeJobs(const CampaignSpec &spec)
     return probes.jobs();
 }
 
-std::string
-probeMemoKey(const CampaignSpec &spec)
-{
-    // Hash the ordered probe job keys: any knob that changes a probe
-    // simulation changes its jobKey (including the code salt), so the
-    // memo invalidates exactly when the stats it summarizes would.
-    std::string text = "probeMemo v1\n";
-    for (const ExperimentJob &j : campaignProbeJobs(spec))
-        text += jobKey(j) + "\n";
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "prb-%016llx",
-                  static_cast<unsigned long long>(stableHash64(text)));
-    return buf;
-}
-
-std::string
-serializeProbeStats(const std::vector<ProbeStat> &stats)
-{
-    std::ostringstream os;
-    os << "probeStats v1\n";
-    os << "count " << stats.size() << "\n";
-    for (const ProbeStat &s : stats)
-        os << s.runTicks << " " << s.epochs << "\n";
-    os << "end 1\n";
-    return os.str();
-}
-
-bool
-deserializeProbeStats(const std::string &text,
-                      std::vector<ProbeStat> &out)
-{
-    std::istringstream is(text);
-    std::string tag, version;
-    if (!(is >> tag >> version) || tag != "probeStats" ||
-        version != "v1") {
-        return false;
-    }
-    std::size_t count = 0;
-    if (!(is >> tag >> count) || tag != "count")
-        return false;
-    std::vector<ProbeStat> stats;
-    stats.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        ProbeStat s;
-        if (!(is >> s.runTicks >> s.epochs))
-            return false;
-        stats.push_back(s);
-    }
-    int marker = 0;
-    if (!(is >> tag >> marker) || tag != "end" || marker != 1)
-        return false;
-    out = std::move(stats);
-    return true;
-}
-
 std::vector<ProbeStat>
 ensureProbeStats(const CampaignSpec &spec, const RunOptions &opt,
-                 const SweepRunner &runner, bool *from_memo)
+                 const SweepRunner &runner)
 {
-    if (from_memo)
-        *from_memo = false;
-    ResultCache &cache = opt.cache ? *opt.cache : processCache();
-    const std::string key = probeMemoKey(spec);
-
-    std::string memo;
-    std::vector<ProbeStat> stats;
-    if (cache.lookupAux(key, memo) &&
-        deserializeProbeStats(memo, stats)) {
-        if (from_memo)
-            *from_memo = true;
-        return stats;
-    }
-
     const SweepResult probeSr =
         runner ? runner(campaignProbeJobs(spec), opt)
                : runJobs(campaignProbeJobs(spec), opt);
-    stats.clear();
+    std::vector<ProbeStat> stats;
     stats.reserve(probeSr.jobs.size());
     for (std::size_t c = 0; c < probeSr.jobs.size(); ++c)
         stats.push_back({probeSr.at(c).runTicks, probeSr.at(c).epochs});
-    cache.insertAux(key, serializeProbeStats(stats));
     return stats;
 }
 
@@ -258,23 +187,12 @@ expandCampaign(const CampaignSpec &spec,
     return out;
 }
 
-CampaignExpansion
-expandCampaign(const CampaignSpec &spec, const SweepResult &probe_sr)
-{
-    std::vector<ProbeStat> stats;
-    stats.reserve(probe_sr.jobs.size());
-    for (std::size_t c = 0; c < probe_sr.jobs.size(); ++c)
-        stats.push_back({probe_sr.at(c).runTicks, probe_sr.at(c).epochs});
-    return expandCampaign(spec, stats);
-}
-
 CampaignResult
 runCampaign(const CampaignSpec &spec, const RunOptions &opt)
 {
     CampaignResult out;
-    const std::vector<ProbeStat> stats =
-        ensureProbeStats(spec, opt, {}, &out.probePhaseCached);
-    CampaignExpansion expansion = expandCampaign(spec, stats);
+    CampaignExpansion expansion =
+        expandCampaign(spec, ensureProbeStats(spec, opt));
 
     out.rows = std::move(expansion.rows);
     out.sweep = runJobs(std::move(expansion.crashJobs), opt);

@@ -7,10 +7,11 @@
  * (workload, model, core count) configuration it first measures the
  * undisturbed runtime and epoch count with a probe Run job, derives a
  * set of crash ticks from a selection strategy, then executes one
- * Crash job per tick — all through runJobs(), so crash points sweep
- * in parallel, deduplicate, and cache exactly like figure sweeps
- * (warm ASAP_CACHE_DIR re-runs are instant). Every inconsistency is
- * reproducible from a single printed `--repro` command line.
+ * Crash job per tick — all through runJobs(), so probes and crash
+ * points alike sweep in parallel, deduplicate, and cache exactly like
+ * figure sweeps (a warm ASAP_CACHE_DIR rerun simulates nothing). Every
+ * inconsistency is reproducible from a single printed `--repro`
+ * command line.
  */
 
 #ifndef ASAP_EXP_CRASH_CAMPAIGN_HH
@@ -97,8 +98,8 @@ struct CampaignSpec
 
     /** What each crash point runs: Crash checks the canonical
      *  post-crash state; Permute enumerates every reachable one
-     *  (src/permute) with the knobs below. Probe jobs, tick
-     *  selection and the probe memo are identical either way. */
+     *  (src/permute) with the knobs below. Probe jobs and tick
+     *  selection are identical either way. */
     JobKind sweepKind = JobKind::Crash;
     std::uint64_t permuteBound = 4096; //!< max states per crash point
     std::uint64_t permuteSeed = 1;     //!< sampling seed above bound
@@ -129,19 +130,13 @@ struct CampaignResult
     std::vector<CampaignRow> rows; //!< one row per configuration
     std::vector<std::size_t> badJobs; //!< sweep indices, inconsistent
 
-    /** True when the probe phase was served from the memoized probe
-     *  summary instead of running the probe sweep. */
-    bool probePhaseCached = false;
-
     std::size_t crashPoints() const { return sweep.jobs.size(); }
     bool allConsistent() const { return badJobs.empty(); }
 };
 
 /**
  * Probe summary of one configuration: the only two stats crash-tick
- * selection needs. A full probe RunResult is memoized down to this
- * pair so warm campaigns skip the probe phase entirely — no probe
- * sweep, no per-probe cache assembly.
+ * selection needs from its probe RunResult.
  */
 struct ProbeStat
 {
@@ -150,35 +145,13 @@ struct ProbeStat
 };
 
 /**
- * Aux-tier memo key for @p spec's probe phase: "prb-" + hash over the
- * ordered probe job keys. Strategy/ticksPerConfig/tickSeed are
- * deliberately excluded — they shape tick *selection*, not probe
- * *output* — so campaigns differing only in those share one memo.
- */
-std::string probeMemoKey(const CampaignSpec &spec);
-
-/** Render probe stats as aux-cache text (order = probe-job order). */
-std::string serializeProbeStats(const std::vector<ProbeStat> &stats);
-
-/**
- * Parse serializeProbeStats() output.
- * @return false if truncated, malformed, or the count disagrees
- */
-bool deserializeProbeStats(const std::string &text,
-                           std::vector<ProbeStat> &out);
-
-/**
- * The probe phase, memoized: probe stats for @p spec in
- * campaignProbeJobs() order, served from the ResultCache aux tier
- * when a previous campaign (this process or, with a disk cache, any
- * process) derived them, else produced by running the probe sweep
- * through @p runner (empty = runJobs) and memoized for the next run.
- * @param from_memo when non-null, set to true on an aux-tier hit
+ * The probe phase: run campaignProbeJobs(spec) through @p runner
+ * (empty = runJobs) with @p opt and keep each probe's runtime and
+ * epoch count, in campaignProbeJobs() order.
  */
 std::vector<ProbeStat> ensureProbeStats(const CampaignSpec &spec,
                                         const RunOptions &opt,
-                                        const SweepRunner &runner = {},
-                                        bool *from_memo = nullptr);
+                                        const SweepRunner &runner = {});
 
 /**
  * Phase 1 of a campaign: one probe Run job per (workload, model,
@@ -196,26 +169,17 @@ struct CampaignExpansion
 };
 
 /**
- * Derive the crash sweep from probe results. @p probe_sr must be the
- * result of running campaignProbeJobs(spec) — tick selection is
- * deterministic in the spec and the probe stats, so a memoized probe
- * phase expands the same job list as a fresh one.
- */
-CampaignExpansion expandCampaign(const CampaignSpec &spec,
-                                 const SweepResult &probe_sr);
-
-/**
- * Same expansion from bare probe stats (campaignProbeJobs() order) —
- * the form a memoized probe phase restores without ever materializing
- * a probe SweepResult. Fatal if the counts disagree.
+ * Derive the crash sweep from probe stats (campaignProbeJobs()
+ * order). Tick selection is deterministic in the spec and the stats.
+ * Fatal if the counts disagree.
  */
 CampaignExpansion expandCampaign(const CampaignSpec &spec,
                                  const std::vector<ProbeStat> &stats);
 
 /**
- * Run a campaign: probe phase (memoized via ensureProbeStats), tick
- * selection, crash sweep. Both sweeps go through runJobs() with
- * @p opt (parallel + cached).
+ * Run a campaign: probe phase (ensureProbeStats), tick selection,
+ * crash sweep. Both sweeps go through runJobs() with @p opt
+ * (parallel + cached).
  */
 CampaignResult runCampaign(const CampaignSpec &spec,
                            const RunOptions &opt = {});

@@ -1,91 +1,14 @@
 #include "exp/engine.hh"
 
 #include <chrono>
-#include <cstdio>
-#include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <utility>
 
 #include "exp/pool.hh"
 #include "serve/scenario.hh"
-#include "sim/log.hh"
 
 namespace asap
 {
-
-namespace
-{
-
-/**
- * Rate-limited progress/ETA reporter for long sweeps. Workers call
- * jobDone() as simulations finish; at most one line per interval
- * reaches stderr (via the locked log path, so lines never interleave
- * with worker warnings). The ETA is an exponential moving average of
- * per-job wall time divided across the worker count — coarse, but
- * self-correcting as the mix of cheap and expensive configs drains.
- */
-class ProgressMeter
-{
-  public:
-    ProgressMeter(std::size_t total_jobs, std::size_t pre_done,
-                  unsigned workers)
-        : total(total_jobs), done(pre_done), served(pre_done),
-          workers(workers ? workers : 1)
-    {
-        if (total > 0 && pre_done > 0)
-            print(/*force=*/true);
-    }
-
-    void
-    jobDone(double job_seconds)
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        ++done;
-        ema = ema == 0.0 ? job_seconds
-                         : 0.3 * job_seconds + 0.7 * ema;
-        print(done == total);
-    }
-
-  private:
-    void
-    print(bool force)
-    {
-        const auto now = std::chrono::steady_clock::now();
-        if (!force && lastPrint.time_since_epoch().count() != 0 &&
-            std::chrono::duration<double>(now - lastPrint).count() <
-                kMinIntervalSeconds) {
-            return;
-        }
-        lastPrint = now;
-        const std::size_t remaining = total - done;
-        const double eta =
-            ema * static_cast<double>(remaining) / workers;
-        char buf[160];
-        std::snprintf(buf, sizeof(buf),
-                      "progress: %zu/%zu jobs (%.0f%%), "
-                      "%.0f%% cache-hit, eta %.0fs",
-                      done, total,
-                      100.0 * static_cast<double>(done) /
-                          static_cast<double>(total ? total : 1),
-                      100.0 * static_cast<double>(served) /
-                          static_cast<double>(done ? done : 1),
-                      eta);
-        statusLine(buf);
-    }
-
-    static constexpr double kMinIntervalSeconds = 0.5;
-
-    std::mutex mu;
-    const std::size_t total;
-    std::size_t done;
-    const std::size_t served; //!< jobs satisfied without simulating
-    const unsigned workers;
-    double ema = 0.0;
-    std::chrono::steady_clock::time_point lastPrint{};
-};
-
-} // namespace
 
 bool
 SweepResult::hasCrashJobs() const
@@ -233,25 +156,12 @@ runJobs(std::vector<ExperimentJob> jobs, const RunOptions &opt)
     }
     if (!toRun.empty()) {
         ThreadPool pool(opt.jobs);
-        std::unique_ptr<ProgressMeter> meter;
-        if (opt.progress) {
-            meter = std::make_unique<ProgressMeter>(
-                sr.jobs.size(), sr.jobs.size() - toRun.size(),
-                pool.size());
-        }
         for (std::size_t i : toRun) {
-            pool.submit([&sr, &cache, &keys, &meter, i] {
-                const auto jobStart = std::chrono::steady_clock::now();
+            pool.submit([&sr, &cache, &keys, i] {
                 CachedResult e = executeJob(sr.jobs[i]);
                 cache.insert(keys[i], e);
                 sr.results[i] = std::move(e.run);
                 sr.verdicts[i] = std::move(e.verdict);
-                if (meter) {
-                    meter->jobDone(std::chrono::duration<double>(
-                                       std::chrono::steady_clock::now() -
-                                       jobStart)
-                                       .count());
-                }
             });
         }
         pool.wait();

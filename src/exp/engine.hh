@@ -34,15 +34,6 @@ struct RunOptions
 
     /** Cache to consult/fill; nullptr = the shared processCache(). */
     ResultCache *cache = nullptr;
-
-    /**
-     * Emit rate-limited progress/ETA lines (jobs done/total,
-     * cache-hit rate, EMA-based ETA) to stderr while the sweep runs.
-     * Off by default: progress goes through the locked log path and
-     * bypasses the quiet flag, but never touches stdout, so bench
-     * tables stay byte-identical with or without it.
-     */
-    bool progress = false;
 };
 
 /** A completed sweep: jobs, their results, and cache accounting. */

@@ -1,9 +1,7 @@
 #include "permute/permute.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <chrono>
 #include <cstdio>
 #include <unordered_set>
 
@@ -232,62 +230,6 @@ planMasks(const PermuteOptions &opt, PermuteReport &rep)
     return plan;
 }
 
-// --- progress meter ------------------------------------------------------
-
-std::atomic<bool> gProgress{false};
-
-/** Rate-limited stderr meter shared by every segment worker. */
-class StateMeter
-{
-  public:
-    StateMeter(std::uint64_t total) : total(total) {}
-
-    /** Called every kTickGranularity states (and at segment ends). */
-    void
-    tick(std::uint64_t states)
-    {
-        const std::uint64_t done =
-            checked.fetch_add(states, std::memory_order_relaxed) +
-            states;
-        const auto now = std::chrono::steady_clock::now();
-        const std::int64_t nowMs =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                now - start)
-                .count();
-        std::int64_t last = lastPrintMs.load(std::memory_order_relaxed);
-        if (nowMs - last < 500 && done < total)
-            return;
-        if (!lastPrintMs.compare_exchange_strong(last, nowMs))
-            return; // another worker is printing
-        const double secs = static_cast<double>(nowMs) / 1e3;
-        const double rate =
-            secs > 0.0 ? static_cast<double>(done) / secs : 0.0;
-        const double eta =
-            rate > 0.0
-                ? static_cast<double>(total - done) / rate
-                : 0.0;
-        char buf[160];
-        std::snprintf(buf, sizeof(buf),
-                      "permute: %llu/%llu states (%.0f%%), "
-                      "%.0f states/s, eta %.0fs",
-                      static_cast<unsigned long long>(done),
-                      static_cast<unsigned long long>(total),
-                      100.0 * static_cast<double>(done) /
-                          static_cast<double>(total ? total : 1),
-                      rate, eta);
-        statusLine(buf);
-    }
-
-    static constexpr std::uint64_t kTickGranularity = 1024;
-
-  private:
-    const std::uint64_t total;
-    const std::chrono::steady_clock::time_point start =
-        std::chrono::steady_clock::now();
-    std::atomic<std::uint64_t> checked{0};
-    std::atomic<std::int64_t> lastPrintMs{-1000};
-};
-
 // --- naive engine --------------------------------------------------------
 
 /** The original check loop, kept as the benchmark baseline: full
@@ -297,11 +239,10 @@ void
 runNaive(const MaskPlan &plan, const std::vector<LineEffect> &effects,
          NvmContents &nvm, const RunLog &log,
          const std::vector<std::uint64_t> &committed_up_to,
-         PermuteReport &rep, StateMeter *meter)
+         PermuteReport &rep)
 {
     std::unordered_map<std::uint64_t, std::pair<bool, std::string>>
         verdictByKey;
-    std::uint64_t sinceTick = 0;
     for (std::uint64_t i = 0; i < plan.count; ++i) {
         const std::uint64_t mask =
             plan.exhaustive ? i : plan.masks[i];
@@ -346,13 +287,7 @@ runNaive(const MaskPlan &plan, const std::vector<LineEffect> &effects,
                 rep.firstBadMessage = message;
             }
         }
-        if (meter && ++sinceTick == StateMeter::kTickGranularity) {
-            meter->tick(sinceTick);
-            sinceTick = 0;
-        }
     }
-    if (meter && sinceTick)
-        meter->tick(sinceTick);
     rep.distinctStates = verdictByKey.size();
 }
 
@@ -459,7 +394,7 @@ runSegment(const MaskPlan &plan, std::uint64_t lo, std::uint64_t hi,
            const CheckerIndex &index, const CheckScope &scope,
            const NvmContents &nvm,
            const std::vector<std::uint64_t> &committed_up_to,
-           SegmentResult &out, StateMeter *meter)
+           SegmentResult &out)
 {
     auto maskAt = [&](std::uint64_t i) {
         return plan.exhaustive ? grayCode(i) : plan.masks[i];
@@ -532,7 +467,6 @@ runSegment(const MaskPlan &plan, std::uint64_t lo, std::uint64_t hi,
         }
     };
 
-    std::uint64_t sinceTick = 0;
     evaluate(mask);
     for (std::uint64_t idx = lo + 1; idx < hi; ++idx) {
         const std::uint64_t next = maskAt(idx);
@@ -561,13 +495,7 @@ runSegment(const MaskPlan &plan, std::uint64_t lo, std::uint64_t hi,
         }
         mask = next;
         evaluate(mask);
-        if (meter && ++sinceTick == StateMeter::kTickGranularity) {
-            meter->tick(sinceTick);
-            sinceTick = 0;
-        }
     }
-    if (meter && sinceTick)
-        meter->tick(sinceTick);
 }
 
 void
@@ -575,7 +503,7 @@ runIncremental(const MaskPlan &plan,
                const std::vector<LineEffect> &effects, unsigned threads,
                const NvmContents &nvm, const RunLog &log,
                const std::vector<std::uint64_t> &committed_up_to,
-               PermuteReport &rep, StateMeter *meter)
+               PermuteReport &rep)
 {
     // Inverted index: atom bit -> effects whose value that bit can
     // change (the bit erases the line's undo or releases a delay).
@@ -619,7 +547,7 @@ runIncremental(const MaskPlan &plan,
     std::vector<SegmentResult> segs(T);
     if (T == 1) {
         runSegment(plan, 0, plan.count, effects, inv, *index, scope, nvm,
-                   committed_up_to, segs[0], meter);
+                   committed_up_to, segs[0]);
     } else {
         ThreadPool pool(T);
         const std::uint64_t base = plan.count / T;
@@ -629,9 +557,9 @@ runIncremental(const MaskPlan &plan,
             const std::uint64_t hi = lo + base + (t < rem ? 1 : 0);
             SegmentResult *out = &segs[t];
             pool.submit([&plan, lo, hi, &effects, &inv, &index, &scope, &nvm,
-                         &committed_up_to, out, meter]() {
+                         &committed_up_to, out]() {
                 runSegment(plan, lo, hi, effects, inv, *index, scope, nvm,
-                           committed_up_to, *out, meter);
+                           committed_up_to, *out);
             });
             lo = hi;
         }
@@ -718,12 +646,6 @@ permuteEngineNames()
     return "naive, incremental";
 }
 
-void
-setPermuteProgress(bool on)
-{
-    gProgress.store(on, std::memory_order_relaxed);
-}
-
 std::vector<Atom>
 deriveAtoms(const PermuteSnapshot &snap, FaultMode fault)
 {
@@ -799,16 +721,11 @@ permuteAndCheck(const PermuteSnapshot &snap, const PermuteOptions &opt,
         buildEffects(snap, atoms, rep);
     const MaskPlan plan = planMasks(opt, rep);
 
-    StateMeter meter(plan.count);
-    StateMeter *meterPtr =
-        gProgress.load(std::memory_order_relaxed) ? &meter : nullptr;
-
     if (opt.engine == Engine::Naive)
-        runNaive(plan, effects, nvm, log, committed_up_to, rep,
-                 meterPtr);
+        runNaive(plan, effects, nvm, log, committed_up_to, rep);
     else
         runIncremental(plan, effects, opt.threads, nvm, log,
-                       committed_up_to, rep, meterPtr);
+                       committed_up_to, rep);
     return rep;
 }
 

@@ -151,14 +151,6 @@ grayCode(std::uint64_t i)
     return i ^ (i >> 1);
 }
 
-/**
- * Toggle the stderr progress meter (states checked, states/sec, ETA)
- * for subsequent permuteAndCheck calls. Host-side observability only:
- * rate-limited statusLine output, never touches the report. Process-
- * wide because the permuter runs deep under the experiment engine.
- */
-void setPermuteProgress(bool on);
-
 /** One orderable crash-time action. */
 struct Atom
 {

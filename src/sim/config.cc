@@ -95,6 +95,16 @@ SimConfig::override(const std::string &assignment)
     else if (key == "numMCs") numMCs = as_u64();
     else if (key == "model") model = parseModelKind(val);
     else if (key == "persistency") persistency = parsePersistencyModel(val);
+    else if (key == "l1Latency") l1Latency = as_u64();
+    else if (key == "l2Latency") l2Latency = as_u64();
+    else if (key == "llcLatency") llcLatency = as_u64();
+    else if (key == "cacheToCacheLatency") cacheToCacheLatency = as_u64();
+    else if (key == "l1Sets") l1Sets = as_u64();
+    else if (key == "l1Ways") l1Ways = as_u64();
+    else if (key == "l2Sets") l2Sets = as_u64();
+    else if (key == "l2Ways") l2Ways = as_u64();
+    else if (key == "llcSets") llcSets = as_u64();
+    else if (key == "llcWays") llcWays = as_u64();
     else if (key == "pbEntries") pbEntries = as_u64();
     else if (key == "etEntries") etEntries = as_u64();
     else if (key == "rtEntries") rtEntries = as_u64();
@@ -117,6 +127,7 @@ SimConfig::override(const std::string &assignment)
     else if (key == "seed") seed = as_u64();
     else if (key == "maxRunTicks") maxRunTicks = as_u64();
     else if (key == "xpBufferLines") xpBufferLines = as_u64();
+    else if (key == "xpBufferHitLatency") xpBufferHitLatency = as_u64();
     else
         fatal("unknown config key '", key, "'");
 }

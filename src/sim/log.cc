@@ -43,13 +43,6 @@ setLogQuiet(bool quiet)
 }
 
 void
-statusLine(const std::string &msg)
-{
-    std::lock_guard<std::mutex> lock(logMutex());
-    std::fprintf(stderr, "%s\n", msg.c_str());
-}
-
-void
 logMessage(LogLevel level, const char *where, const std::string &msg)
 {
     const bool quiet = quietLogs.load(std::memory_order_relaxed);

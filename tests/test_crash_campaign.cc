@@ -2,9 +2,8 @@
  * @file
  * Tests for the crash-injection campaign subsystem: tick selection
  * strategies, the Crash job kind through the engine (dispatch, cache
- * tiers, verdict assembly), campaign accounting, probe-phase
- * memoization, repro lines, and the worker-count independence of
- * verdict tables.
+ * tiers, verdict assembly), campaign accounting, warm reruns, repro
+ * lines, and the worker-count independence of verdict tables.
  */
 
 #include <gtest/gtest.h>
@@ -280,12 +279,28 @@ TEST(Campaign, WarmCacheServesTheWholeCampaign)
     opt.cache = &cache;
     const CampaignResult cold = runCampaign(spec, opt);
     EXPECT_GT(cold.sweep.uniqueRuns, 0u);
+    const std::uint64_t coldMisses = cache.stats().misses;
     const CampaignResult warm = runCampaign(spec, opt);
+
+    // Nothing simulates on the warm run, probes included: every probe
+    // and crash job is a result-cache hit.
+    EXPECT_EQ(cache.stats().misses, coldMisses);
     EXPECT_EQ(warm.sweep.uniqueRuns, 0u);
     EXPECT_EQ(warm.sweep.cacheHits, warm.crashPoints());
     for (std::size_t i = 0; i < warm.crashPoints(); ++i)
         expectSameVerdict(cold.sweep.verdicts[i],
                           warm.sweep.verdicts[i]);
+
+    ASSERT_EQ(warm.rows.size(), cold.rows.size());
+    for (std::size_t i = 0; i < warm.rows.size(); ++i) {
+        EXPECT_EQ(warm.rows[i].probeTicks, cold.rows[i].probeTicks);
+        EXPECT_EQ(warm.rows[i].probeEpochs, cold.rows[i].probeEpochs);
+        EXPECT_EQ(warm.rows[i].consistent, cold.rows[i].consistent);
+    }
+    std::ostringstream coldCsv, warmCsv;
+    emitCsv(coldCsv, cold.sweep);
+    emitCsv(warmCsv, warm.sweep);
+    EXPECT_EQ(warmCsv.str(), coldCsv.str());
 }
 
 TEST(Campaign, ReproCommandNamesEveryCoordinate)
@@ -306,63 +321,6 @@ TEST(Campaign, ReproCommandNamesEveryCoordinate)
     EXPECT_NE(line.find("--ops 20"), std::string::npos);
     EXPECT_NE(line.find("--seed 7"), std::string::npos);
     EXPECT_NE(line.find("--crash-tick 31337"), std::string::npos);
-}
-
-// ---------------------------------------------------------- probe memo
-
-TEST(ProbeMemo, WarmCampaignSkipsTheProbePhase)
-{
-    CampaignSpec spec;
-    spec.workloads = {"queue"};
-    spec.models = {{ModelKind::Asap, PersistencyModel::Release}};
-    spec.coreCounts = {2};
-    spec.params = tinyParams();
-    spec.ticksPerConfig = 3;
-
-    ResultCache cache;
-    RunOptions ro;
-    ro.cache = &cache;
-
-    const CampaignResult cold = runCampaign(spec, ro);
-    EXPECT_FALSE(cold.probePhaseCached);
-
-    const CampaignResult warm = runCampaign(spec, ro);
-    EXPECT_TRUE(warm.probePhaseCached);
-    std::ostringstream coldCsv, warmCsv;
-    emitCsv(coldCsv, cold.sweep);
-    emitCsv(warmCsv, warm.sweep);
-    EXPECT_EQ(warmCsv.str(), coldCsv.str());
-    ASSERT_EQ(warm.rows.size(), cold.rows.size());
-    for (std::size_t i = 0; i < warm.rows.size(); ++i) {
-        EXPECT_EQ(warm.rows[i].probeTicks, cold.rows[i].probeTicks);
-        EXPECT_EQ(warm.rows[i].consistent, cold.rows[i].consistent);
-    }
-
-    // The memo must key on probe-job identity: a different seed is a
-    // different probe set and must not be served from this memo.
-    CampaignSpec other = spec;
-    other.params.seed = 99;
-    const CampaignResult miss = runCampaign(other, ro);
-    EXPECT_FALSE(miss.probePhaseCached);
-}
-
-TEST(ProbeMemo, SerializationRejectsCorruptText)
-{
-    std::vector<ProbeStat> stats(2);
-    stats[0] = {1000, 4};
-    stats[1] = {2000, 8};
-    const std::string text = serializeProbeStats(stats);
-
-    std::vector<ProbeStat> back;
-    ASSERT_TRUE(deserializeProbeStats(text, back));
-    ASSERT_EQ(back.size(), 2u);
-    EXPECT_EQ(back[0].runTicks, 1000u);
-    EXPECT_EQ(back[1].epochs, 8u);
-
-    EXPECT_FALSE(deserializeProbeStats("", back));
-    EXPECT_FALSE(deserializeProbeStats("probeStats v99\n", back));
-    EXPECT_FALSE(
-        deserializeProbeStats(text.substr(0, text.size() / 2), back));
 }
 
 TEST(Campaign, EmittersCarryVerdictFields)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -132,6 +133,61 @@ TEST(Cache, KeyIsStableAndSensitive)
     j = set.jobs()[0];
     j.params.seed = 8;
     EXPECT_NE(jobKey(j), k0);
+}
+
+TEST(Cache, EveryKeyedConfigKnobIsOverridable)
+{
+    // describeJob() keys every SimConfig knob, so every one of them
+    // changes results, and SimConfig::override (asap_run's key=value
+    // CLI) must be able to set each. Set a different value through
+    // override() and read it back from the re-rendered key.
+    JobSet set;
+    set.add("queue", ModelKind::Asap, PersistencyModel::Release, 4,
+            tinyParams());
+    ExperimentJob base = set.jobs()[0];
+    base.cfg.mediaPerMc = "dram"; // rendered only when set
+
+    // "k=v" tokens; some lines carry two ("l1Sets=64 l1Ways=8").
+    auto fields = [](const ExperimentJob &job) {
+        std::vector<std::pair<std::string, std::string>> out;
+        std::istringstream is(describeJob(job));
+        std::string tok;
+        while (is >> tok) {
+            const std::size_t eq = tok.find('=');
+            if (eq != std::string::npos)
+                out.emplace_back(tok.substr(0, eq), tok.substr(eq + 1));
+        }
+        return out;
+    };
+    auto valueOf = [&](const ExperimentJob &job, const std::string &k) {
+        for (const auto &[key, value] : fields(job)) {
+            if (key == k)
+                return value;
+        }
+        return std::string("<missing>");
+    };
+    const std::vector<std::string> notSimConfig = {
+        "salt", "workload", "opsPerThread", "keySpace", "valueBytes",
+        "updatePct", "paramSeed"};
+
+    std::size_t tested = 0;
+    for (const auto &[key, value] : fields(base)) {
+        if (std::find(notSimConfig.begin(), notSimConfig.end(), key) !=
+            notSimConfig.end())
+            continue;
+        std::string next = value == "7" ? "9" : "7";
+        if (key == "model")
+            next = value == "hops" ? "asap" : "hops";
+        else if (key == "persistency")
+            next = value == "ep" ? "rp" : "ep";
+        else if (key == "media" || key == "mediaPerMc")
+            next = value == "slow-nvm" ? "cxl-dram" : "slow-nvm";
+        ExperimentJob j = base;
+        j.cfg.override(key + "=" + next);
+        EXPECT_EQ(valueOf(j, key), next) << key;
+        ++tested;
+    }
+    EXPECT_GT(tested, 40u);
 }
 
 TEST(Cache, ResultSerializationRoundTrips)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the persist-path structures: counting Bloom filter,
- * write-back buffer, epoch table, persist buffer.
+ * epoch table, persist buffer.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include "persist/bloom_filter.hh"
 #include "persist/epoch_table.hh"
 #include "persist/persist_buffer.hh"
-#include "persist/wbb.hh"
 #include "sim/log.hh"
 
 namespace asap
@@ -65,30 +64,6 @@ TEST(BloomDeath, RemoveFromEmptyPanics)
 {
     CountingBloom bloom(64, 2);
     EXPECT_DEATH(bloom.remove(1), "empty");
-}
-
-// -------------------------------------------------------------- wbb
-
-TEST(Wbb, ParkAndRelease)
-{
-    WriteBackBuffer wbb(4);
-    EXPECT_TRUE(wbb.park(100, 5));
-    EXPECT_TRUE(wbb.park(101, 9));
-    EXPECT_TRUE(wbb.holds(100));
-    EXPECT_EQ(wbb.releaseUpTo(5), 1u);
-    EXPECT_FALSE(wbb.holds(100));
-    EXPECT_TRUE(wbb.holds(101));
-    EXPECT_EQ(wbb.releaseUpTo(20), 1u);
-    EXPECT_EQ(wbb.size(), 0u);
-}
-
-TEST(Wbb, FullRefuses)
-{
-    WriteBackBuffer wbb(2);
-    EXPECT_TRUE(wbb.park(1, 1));
-    EXPECT_TRUE(wbb.park(2, 2));
-    EXPECT_FALSE(wbb.park(3, 3));
-    EXPECT_TRUE(wbb.full());
 }
 
 // ------------------------------------------------------ epoch table
