@@ -1,7 +1,6 @@
 #include "core/asap_model.hh"
 
 #include <memory>
-#include <utility>
 
 #include "sim/log.hh"
 
@@ -9,12 +8,9 @@ namespace asap
 {
 
 AsapModel::AsapModel(std::uint16_t thread, ModelContext &ctx)
-    : PersistModel(thread, ctx),
-      et(thread, ctx.cfg.etEntries, ctx.stats),
-      pb(thread, ctx.cfg, ctx.eq, ctx.stats, ctx.amap, ctx.mcs),
+    : BufferedModel(thread, ctx),
       stConservativeFallbacks(
           &ctx.stats.counter("asap.conservativeFallbacks")),
-      stDfenceStalled(&ctx.stats.counter("core.dfenceStalled")),
       stCommitMessages(&ctx.stats.counter("asap.commitMessages")),
       stCdrMessages(&ctx.stats.counter("asap.cdrMessages"))
 {
@@ -47,105 +43,12 @@ AsapModel::classify(std::uint64_t epoch) const
 }
 
 void
-AsapModel::pmStore(std::uint64_t line, std::uint64_t value, Callback done)
+AsapModel::awaitSource(std::uint16_t src_thread, std::uint64_t src_epoch)
 {
-    const std::uint64_t ts = et.currentEpoch();
-    et.addWrite(ts);
-    pb.enqueue(line, value, ts, std::move(done));
-}
-
-void
-AsapModel::ofence(Callback done)
-{
-    et.closeEpoch(false, [this, done = std::move(done)]() {
-        pb.kick();
-        done();
-    });
-}
-
-void
-AsapModel::dfence(Callback done)
-{
-    const Tick start = ctx.eq.now();
-    et.closeEpoch(false, [this, start, done = std::move(done)]() {
-        pb.kick();
-        et.waitAllCommitted([this, start, done]() {
-            *stDfenceStalled += ctx.eq.now() - start;
-            done();
-        });
-    });
-}
-
-void
-AsapModel::release(Callback done)
-{
-    // 1-sided barrier: close the epoch so the matching acquire can
-    // depend on everything before the release.
-    ofence(std::move(done));
-}
-
-void
-AsapModel::acquire(std::uint16_t src_thread, std::uint64_t src_epoch,
-                   Callback done)
-{
-    if (src_epoch == 0 || src_thread == thread) {
-        // Unsynchronised acquire (first lock acquisition or self).
-        done();
-        return;
-    }
-    et.closeEpoch(false, [this, src_thread, src_epoch,
-                          done = std::move(done)]() {
-        et.openDependentEpoch(src_thread, src_epoch);
-        if (ctx.peers[src_thread]->registerDependent(thread, src_epoch))
-            et.resolveDependency(src_thread, src_epoch);
-        pb.kick();
-        done();
-    });
-}
-
-std::uint64_t
-AsapModel::conflictSource(std::uint16_t requester)
-{
-    (void)requester;
-    const std::uint64_t cur = et.currentEpoch();
-    // Reply with the current epoch and start a new one (epoch
-    // deadlock avoidance, Section IV-E); never block the coherence
-    // response on table space.
-    et.closeEpoch(true, []() {});
-    pb.kick();
-    return cur;
-}
-
-void
-AsapModel::conflictDependent(std::uint16_t src_thread,
-                             std::uint64_t src_epoch)
-{
-    et.closeEpoch(true, [this, src_thread, src_epoch]() {
-        et.openDependentEpoch(src_thread, src_epoch);
-        if (ctx.peers[src_thread]->registerDependent(thread, src_epoch))
-            et.resolveDependency(src_thread, src_epoch);
-        pb.kick();
-    });
-}
-
-bool
-AsapModel::registerDependent(std::uint16_t dep_thread, std::uint64_t epoch)
-{
-    return et.registerDependent(dep_thread, epoch);
-}
-
-void
-AsapModel::dependencyResolved(std::uint16_t src_thread,
-                              std::uint64_t src_epoch)
-{
-    et.resolveDependency(src_thread, src_epoch);
-    pb.kick();
-}
-
-std::uint64_t
-AsapModel::currentEpoch() const
-{
-    return et.currentEpoch();
+    // A System runs one model kind: every peer is an AsapModel.
+    if (static_cast<AsapModel *>(ctx.peers[src_thread])
+            ->registerDependent(thread, src_epoch))
+        et.resolveDependency(src_thread, src_epoch);
 }
 
 void
@@ -198,17 +101,11 @@ AsapModel::finishCommit(std::uint64_t ts)
                              [this, dep, ts]() {
             if (crashed)
                 return;
-            ctx.peers[dep]->dependencyResolved(thread, ts);
+            static_cast<AsapModel *>(ctx.peers[dep])
+                ->dependencyResolved(thread, ts);
         });
     }
     pb.kick();
-}
-
-void
-AsapModel::crash()
-{
-    crashed = true;
-    pb.crash();
 }
 
 } // namespace asap

@@ -18,41 +18,28 @@
 #define ASAP_CORE_ASAP_MODEL_HH
 
 #include <cstdint>
-#include <memory>
+#include <vector>
 
-#include "persist/epoch_table.hh"
-#include "persist/model.hh"
-#include "persist/persist_buffer.hh"
+#include "persist/buffered_model.hh"
 
 namespace asap
 {
 
 /** ASAP per-core persistence hardware. */
-class AsapModel : public PersistModel
+class AsapModel : public BufferedModel
 {
   public:
     AsapModel(std::uint16_t thread, ModelContext &ctx);
 
-    void pmStore(std::uint64_t line, std::uint64_t value,
-                 Callback done) override;
-    void ofence(Callback done) override;
-    void dfence(Callback done) override;
-    void release(Callback done) override;
-    void acquire(std::uint16_t src_thread, std::uint64_t src_epoch,
-                 Callback done) override;
-    std::uint64_t conflictSource(std::uint16_t requester) override;
-    void conflictDependent(std::uint16_t src_thread,
-                           std::uint64_t src_epoch) override;
-    bool registerDependent(std::uint16_t dep_thread,
-                           std::uint64_t epoch) override;
-    void dependencyResolved(std::uint16_t src_thread,
-                            std::uint64_t src_epoch) override;
-    std::uint64_t currentEpoch() const override;
-    std::uint64_t lastCommittedEpoch() const override
+    /**
+     * Register @p dep_thread for a CDR when @p epoch of this core
+     * commits.
+     * @return true if the epoch has already committed
+     */
+    bool registerDependent(std::uint16_t dep_thread, std::uint64_t epoch)
     {
-        return et.lastCommitted();
+        return et.registerDependent(dep_thread, epoch);
     }
-    void crash() override;
 
     std::vector<std::uint64_t>
     commitInFlightEpochs() const override
@@ -64,10 +51,11 @@ class AsapModel : public PersistModel
         return out;
     }
 
-    /** Test support. */
-    EpochTable &epochTable() { return et; }
-    PersistBuffer &persistBuffer() { return pb; }
-    bool conservative() const { return conservativeUntil != 0; }
+  protected:
+    /** Register with the source core for a CDR; resolve at once if
+     *  the source epoch already committed. */
+    void awaitSource(std::uint16_t src_thread,
+                     std::uint64_t src_epoch) override;
 
   private:
     /** The oldest epoch became safe + complete: run the commit
@@ -79,17 +67,12 @@ class AsapModel : public PersistModel
 
     FlushMode classify(std::uint64_t epoch) const;
 
-    EpochTable et;
-    PersistBuffer pb;
-
     /** Non-zero: NACK received; eager flushing paused until the epoch
      *  with this timestamp commits. */
     std::uint64_t conservativeUntil = 0;
-    bool crashed = false;
 
     // Hot counters resolved once at construction (see StatSet::counter).
     std::uint64_t *stConservativeFallbacks;
-    std::uint64_t *stDfenceStalled;
     std::uint64_t *stCommitMessages;
     std::uint64_t *stCdrMessages;
 };

@@ -14,9 +14,7 @@ Core::Core(std::uint16_t thread, const SimConfig &cfg, EventQueue &eq,
            OpSource &src)
     : thread(thread), cfg(cfg), eq(eq), stats(stats), caches(caches),
       board(board), models(models), log(log), src(src),
-      epConflicts(cfg.persistency == PersistencyModel::Epoch &&
-                  (cfg.model == ModelKind::Hops ||
-                   cfg.model == ModelKind::Asap)),
+      epConflicts(cfg.persistency == PersistencyModel::Epoch),
       stOpsRetired(&stats.counter("core.opsRetired")),
       stPmStores(&stats.counter("core.pmStores")),
       stOfences(&stats.counter("core.ofences")),
@@ -144,8 +142,7 @@ Core::next()
                 return;
             }
             if (aop.srcThread >= 0 &&
-                static_cast<std::uint16_t>(aop.srcThread) != thread &&
-                cfg.persistency == PersistencyModel::Release) {
+                static_cast<std::uint16_t>(aop.srcThread) != thread) {
                 const auto src =
                     static_cast<std::uint16_t>(aop.srcThread);
                 const std::uint64_t src_epoch =

@@ -11,9 +11,10 @@
  *
  * Under epoch persistency the core turns directory conflicts into
  * cross-thread epoch dependencies (conflictSource / conflictDependent
- * on the models); under release persistency only acquire/release
+ * on the models; models without epoch hardware answer "no
+ * dependency"); under release persistency only acquire/release
  * create dependencies and conflicts are ignored (race-free code,
- * Section IV-E).
+ * Section IV-E). The core never asks which model it drives.
  */
 
 #ifndef ASAP_CPU_CORE_HH
@@ -75,7 +76,7 @@ class Core
     RunLog *log;
     OpSource &src;
 
-    bool epConflicts; //!< EP mode with dependency-tracking hardware
+    bool epConflicts; //!< EP: conflicts (not acquires) raise deps
 
     // Hot counters resolved once at construction (see StatSet::counter).
     std::uint64_t *stOpsRetired;

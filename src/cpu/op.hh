@@ -41,6 +41,8 @@ struct TraceOp
     std::uint64_t value = 0;    //!< unique token (PM stores)
     std::int32_t srcThread = -1; //!< Acquire: releasing thread
     std::uint64_t srcRelease = 0; //!< Acquire: release ordinal (1-based)
+
+    bool operator==(const TraceOp &) const = default;
 };
 
 /** Whole-program trace: one op stream per thread. */

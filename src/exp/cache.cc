@@ -134,55 +134,31 @@ appendResultFields(std::ostringstream &os, const RunResult &r)
     os << "workload " << r.workload << '\n'
        << "model " << toString(r.model) << '\n'
        << "persistency " << toString(r.persistency) << '\n'
-       << "cores " << r.cores << '\n'
-       << "runTicks " << r.runTicks << '\n'
-       << "pmWrites " << r.pmWrites << '\n'
-       << "pmReads " << r.pmReads << '\n'
-       << "cyclesBlocked " << r.cyclesBlocked << '\n'
-       << "cyclesStalled " << r.cyclesStalled << '\n'
-       << "dfenceStalled " << r.dfenceStalled << '\n'
-       << "sfenceStalled " << r.sfenceStalled << '\n'
-       << "entriesInserted " << r.entriesInserted << '\n'
-       << "epochs " << r.epochs << '\n'
-       << "crossDeps " << r.crossDeps << '\n'
-       << "totSpecWrites " << r.totSpecWrites << '\n'
-       << "totalUndo " << r.totalUndo << '\n'
-       << "totalDelay " << r.totalDelay << '\n'
-       << "nacks " << r.nacks << '\n'
-       << "rtMaxOccupancy " << r.rtMaxOccupancy << '\n'
-       << "pbOccMean " << r.pbOccMean << '\n'
-       << "pbOccP99 " << r.pbOccP99 << '\n'
-       << "wpqCoalesced " << r.wpqCoalesced << '\n'
-       << "suppressedWrites " << r.suppressedWrites << '\n'
-       // Whitespace-delimited format: an empty profile would leave
-       // the value slot blank and desync the reader, so stand in "-".
-       << "media " << (r.media.empty() ? "-" : r.media) << '\n'
-       << "xpHits " << r.xpHits << '\n'
-       << "xpMisses " << r.xpMisses << '\n'
-       << "mediaBytesWritten " << r.mediaBytesWritten << '\n'
-       << "mediaQueueDelayTicks " << r.mediaQueueDelayTicks << '\n'
-       << "mediaBankBusyTicks " << r.mediaBankBusyTicks << '\n'
-       // hostNs is deliberately absent: host wall time is
-       // non-deterministic and must never round-trip through a cache.
-       << "eventsExecuted " << r.eventsExecuted << '\n'
-       << "persistSamples " << r.persistSamples << '\n'
-       << "persistP50 " << r.persistP50 << '\n'
-       << "persistP99 " << r.persistP99 << '\n'
-       << "persistP999 " << r.persistP999 << '\n'
-       << "persistMax " << r.persistMax << '\n'
-       << "serveRequests " << r.serveRequests << '\n';
+       << "cores " << r.cores << '\n';
+    for (const ResultField &f : kResultFields) {
+        // The media label line precedes the media counters.
+        // Whitespace-delimited format: an empty profile would leave
+        // the value slot blank and desync the reader, so stand in "-".
+        if (f.count == &RunResult::xpHits)
+            os << "media " << (r.media.empty() ? "-" : r.media) << '\n';
+        os << f.name << ' ';
+        f.print(os, r);
+        os << '\n';
+    }
+}
+
+/** The kResultFields row named @p name, or null. */
+const ResultField *
+findResultField(const std::string &name)
+{
+    for (const ResultField &f : kResultFields) {
+        if (name == f.name)
+            return &f;
+    }
+    return nullptr;
 }
 
 } // namespace
-
-std::string
-serializeResult(const RunResult &r)
-{
-    std::ostringstream os;
-    appendResultFields(os, r);
-    os << "end 1\n";
-    return os.str();
-}
 
 std::string
 serializeEntry(const CachedResult &e)
@@ -280,43 +256,10 @@ deserializeEntry(const std::string &text, CachedResult &out,
                 return reject("unknown persistency model '" + m + "'");
         }
         else if (field == "cores") is >> r.cores;
-        else if (field == "runTicks") is >> r.runTicks;
-        else if (field == "pmWrites") is >> r.pmWrites;
-        else if (field == "pmReads") is >> r.pmReads;
-        else if (field == "cyclesBlocked") is >> r.cyclesBlocked;
-        else if (field == "cyclesStalled") is >> r.cyclesStalled;
-        else if (field == "dfenceStalled") is >> r.dfenceStalled;
-        else if (field == "sfenceStalled") is >> r.sfenceStalled;
-        else if (field == "entriesInserted") is >> r.entriesInserted;
-        else if (field == "epochs") is >> r.epochs;
-        else if (field == "crossDeps") is >> r.crossDeps;
-        else if (field == "totSpecWrites") is >> r.totSpecWrites;
-        else if (field == "totalUndo") is >> r.totalUndo;
-        else if (field == "totalDelay") is >> r.totalDelay;
-        else if (field == "nacks") is >> r.nacks;
-        else if (field == "rtMaxOccupancy") is >> r.rtMaxOccupancy;
-        else if (field == "pbOccMean") is >> r.pbOccMean;
-        else if (field == "pbOccP99") is >> r.pbOccP99;
-        else if (field == "wpqCoalesced") is >> r.wpqCoalesced;
-        else if (field == "suppressedWrites") is >> r.suppressedWrites;
         else if (field == "media") {
             is >> r.media;
             if (r.media == "-") r.media.clear();
         }
-        else if (field == "xpHits") is >> r.xpHits;
-        else if (field == "xpMisses") is >> r.xpMisses;
-        else if (field == "mediaBytesWritten") is >> r.mediaBytesWritten;
-        else if (field == "mediaQueueDelayTicks")
-            is >> r.mediaQueueDelayTicks;
-        else if (field == "mediaBankBusyTicks")
-            is >> r.mediaBankBusyTicks;
-        else if (field == "eventsExecuted") is >> r.eventsExecuted;
-        else if (field == "persistSamples") is >> r.persistSamples;
-        else if (field == "persistP50") is >> r.persistP50;
-        else if (field == "persistP99") is >> r.persistP99;
-        else if (field == "persistP999") is >> r.persistP999;
-        else if (field == "persistMax") is >> r.persistMax;
-        else if (field == "serveRequests") is >> r.serveRequests;
         else if (field == "vConsistent") {
             int b = 0;
             is >> b;
@@ -356,6 +299,8 @@ deserializeEntry(const std::string &text, CachedResult &out,
         else if (field == "end") {
             complete = true;
             break;
+        } else if (const ResultField *f = findResultField(field)) {
+            f->read(is, r);
         } else {
             // Written by newer code than this reader.
             return reject("unknown field '" + field + "'");
@@ -366,16 +311,6 @@ deserializeEntry(const std::string &text, CachedResult &out,
     if (!complete)
         return reject("truncated entry (no end marker)");
     out = std::move(e);
-    return true;
-}
-
-bool
-deserializeResult(const std::string &text, RunResult &out)
-{
-    CachedResult e;
-    if (!deserializeEntry(text, e) || e.kind != JobKind::Run)
-        return false;
-    out = std::move(e.run);
     return true;
 }
 
@@ -502,25 +437,6 @@ ResultCache::insert(const std::string &key, const CachedResult &e)
     std::filesystem::rename(tmp.str(), diskPath(key), ec);
     if (ec)
         std::filesystem::remove(tmp.str(), ec);
-}
-
-bool
-ResultCache::lookup(const std::string &key, RunResult &out)
-{
-    CachedResult e;
-    if (!lookup(key, e))
-        return false;
-    out = std::move(e.run);
-    return true;
-}
-
-void
-ResultCache::insert(const std::string &key, const RunResult &r)
-{
-    CachedResult e;
-    e.kind = JobKind::Run;
-    e.run = r;
-    insert(key, e);
 }
 
 CacheStats

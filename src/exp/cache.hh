@@ -60,22 +60,12 @@ struct CachedResult
     CrashVerdict verdict; //!< meaningful when kind == Crash
 };
 
-/** Serialize a RunResult as "field value" lines. */
-std::string serializeResult(const RunResult &r);
-
-/**
- * Parse serializeResult() output.
- * @return false if the text is truncated or malformed
- */
-bool deserializeResult(const std::string &text, RunResult &out);
-
-/** Serialize a tagged entry (Run entries match serializeResult()). */
+/** Serialize a tagged entry as "field value" lines. */
 std::string serializeEntry(const CachedResult &e);
 
 /**
- * Parse serializeEntry() output; also accepts plain
- * serializeResult() text (an entry of kind Run) and pre-hardening
- * entries without a codeSalt line.
+ * Parse serializeEntry() output; also accepts pre-hardening entries
+ * without a codeSalt line.
  * @param why when non-null, set to a human-readable rejection reason
  *            (truncated / malformed / code-salt mismatch) on failure
  * @return false if the text is truncated, malformed, or written by a
@@ -114,10 +104,6 @@ class ResultCache
 
     /** Store a freshly produced entry in both tiers. */
     void insert(const std::string &key, const CachedResult &e);
-
-    /** Stat-bundle shorthands for Run-kind entries. */
-    bool lookup(const std::string &key, RunResult &out);
-    void insert(const std::string &key, const RunResult &r);
 
     /** Counter snapshot. */
     CacheStats stats() const;

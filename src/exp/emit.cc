@@ -24,91 +24,16 @@ jsonEscape(const std::string &s)
     return out;
 }
 
-/** Field list shared by the JSON and CSV emitters. */
-struct Field
+/** Does an artifact with (or without) media and serve columns carry
+ *  @p f? Those groups appear only in sweeps that need them, so older
+ *  artifacts keep their schema byte-for-byte. */
+bool
+emitted(const ResultField &f, bool media, bool serve)
 {
-    const char *name;
-    double (*get)(const RunResult &);
-    bool integral;
-};
-
-constexpr Field kFields[] = {
-    {"runTicks", [](const RunResult &r) { return double(r.runTicks); },
-     true},
-    {"pmWrites", [](const RunResult &r) { return double(r.pmWrites); },
-     true},
-    {"pmReads", [](const RunResult &r) { return double(r.pmReads); },
-     true},
-    {"cyclesBlocked",
-     [](const RunResult &r) { return double(r.cyclesBlocked); }, true},
-    {"cyclesStalled",
-     [](const RunResult &r) { return double(r.cyclesStalled); }, true},
-    {"dfenceStalled",
-     [](const RunResult &r) { return double(r.dfenceStalled); }, true},
-    {"sfenceStalled",
-     [](const RunResult &r) { return double(r.sfenceStalled); }, true},
-    {"entriesInserted",
-     [](const RunResult &r) { return double(r.entriesInserted); }, true},
-    {"epochs", [](const RunResult &r) { return double(r.epochs); },
-     true},
-    {"crossDeps", [](const RunResult &r) { return double(r.crossDeps); },
-     true},
-    {"totSpecWrites",
-     [](const RunResult &r) { return double(r.totSpecWrites); }, true},
-    {"totalUndo", [](const RunResult &r) { return double(r.totalUndo); },
-     true},
-    {"totalDelay",
-     [](const RunResult &r) { return double(r.totalDelay); }, true},
-    {"nacks", [](const RunResult &r) { return double(r.nacks); }, true},
-    {"rtMaxOccupancy",
-     [](const RunResult &r) { return double(r.rtMaxOccupancy); }, true},
-    {"pbOccMean", [](const RunResult &r) { return r.pbOccMean; }, false},
-    {"pbOccP99", [](const RunResult &r) { return double(r.pbOccP99); },
-     true},
-    {"wpqCoalesced",
-     [](const RunResult &r) { return double(r.wpqCoalesced); }, true},
-    {"suppressedWrites",
-     [](const RunResult &r) { return double(r.suppressedWrites); },
-     true},
-};
-
-/** Media + XPBuffer counters: emitted only for sweeps that touch a
- *  non-default media profile, so single-media paper-figure artifacts
- *  keep the pre-media schema byte-for-byte. */
-constexpr Field kMediaFields[] = {
-    {"xpHits", [](const RunResult &r) { return double(r.xpHits); },
-     true},
-    {"xpMisses", [](const RunResult &r) { return double(r.xpMisses); },
-     true},
-    {"mediaBytesWritten",
-     [](const RunResult &r) { return double(r.mediaBytesWritten); },
-     true},
-    {"mediaQueueDelayTicks",
-     [](const RunResult &r) { return double(r.mediaQueueDelayTicks); },
-     true},
-    {"mediaBankBusyTicks",
-     [](const RunResult &r) { return double(r.mediaBankBusyTicks); },
-     true},
-};
-
-/** Persist-latency tail + request throughput: emitted only for sweeps
- *  with serve:* jobs, so every pre-serving artifact keeps its schema.
- *  Latencies are in ticks (cycles @2 GHz); consumers divide by 2 for
- *  nanoseconds. */
-constexpr Field kServeFields[] = {
-    {"persistSamples",
-     [](const RunResult &r) { return double(r.persistSamples); }, true},
-    {"persistP50",
-     [](const RunResult &r) { return double(r.persistP50); }, true},
-    {"persistP99",
-     [](const RunResult &r) { return double(r.persistP99); }, true},
-    {"persistP999",
-     [](const RunResult &r) { return double(r.persistP999); }, true},
-    {"persistMax",
-     [](const RunResult &r) { return double(r.persistMax); }, true},
-    {"serveRequests",
-     [](const RunResult &r) { return double(r.serveRequests); }, true},
-};
+    return f.group == ResultGroup::All ||
+           (f.group == ResultGroup::Media && media) ||
+           (f.group == ResultGroup::Serve && serve);
+}
 
 /** Media column label: the profile, or the '+'-joined per-MC list on
  *  heterogeneous jobs (',' is the CSV delimiter). */
@@ -123,15 +48,6 @@ mediaLabel(const SimConfig &cfg)
             c = '+';
     }
     return label;
-}
-
-void
-emitValue(std::ostream &os, const Field &f, const RunResult &r)
-{
-    if (f.integral)
-        os << static_cast<std::uint64_t>(f.get(r));
-    else
-        os << f.get(r);
 }
 
 /** RFC-4180 CSV quoting (verdict messages contain commas). */
@@ -198,21 +114,11 @@ emitJson(std::ostream &os, const SweepResult &sr)
                << '"';
         os << ", \"seed\": " << j.params.seed
            << ", \"opsPerThread\": " << j.params.opsPerThread;
-        for (const Field &f : kFields) {
+        for (const ResultField &f : kResultFields) {
+            if (!emitted(f, media, serve))
+                continue;
             os << ", \"" << f.name << "\": ";
-            emitValue(os, f, r);
-        }
-        if (media) {
-            for (const Field &f : kMediaFields) {
-                os << ", \"" << f.name << "\": ";
-                emitValue(os, f, r);
-            }
-        }
-        if (serve) {
-            for (const Field &f : kServeFields) {
-                os << ", \"" << f.name << "\": ";
-                emitValue(os, f, r);
-            }
+            f.print(os, r);
         }
         // Crash/permute jobs append the tagged verdict payload;
         // pure-Run sweeps keep the PR 1 schema byte-for-byte.
@@ -266,14 +172,8 @@ emitCsv(std::ostream &os, const SweepResult &sr)
     if (media)
         os << ",media";
     os << ",seed,opsPerThread";
-    for (const Field &f : kFields)
-        os << ',' << f.name;
-    if (media) {
-        for (const Field &f : kMediaFields)
-            os << ',' << f.name;
-    }
-    if (serve) {
-        for (const Field &f : kServeFields)
+    for (const ResultField &f : kResultFields) {
+        if (emitted(f, media, serve))
             os << ',' << f.name;
     }
     if (verdict) {
@@ -296,21 +196,11 @@ emitCsv(std::ostream &os, const SweepResult &sr)
         if (media)
             os << ',' << mediaLabel(j.cfg);
         os << ',' << j.params.seed << ',' << j.params.opsPerThread;
-        for (const Field &f : kFields) {
+        for (const ResultField &f : kResultFields) {
+            if (!emitted(f, media, serve))
+                continue;
             os << ',';
-            emitValue(os, f, r);
-        }
-        if (media) {
-            for (const Field &f : kMediaFields) {
-                os << ',';
-                emitValue(os, f, r);
-            }
-        }
-        if (serve) {
-            for (const Field &f : kServeFields) {
-                os << ',';
-                emitValue(os, f, r);
-            }
+            f.print(os, r);
         }
         if (verdict) {
             const CrashVerdict &v = sr.verdicts[i];

@@ -209,28 +209,11 @@ extractResult(System &sys, const std::string &workload,
                 c = '+';
         }
     }
+    for (const ResultField &f : kResultFields) {
+        if (f.stat)
+            r.*f.count = s.get(f.stat);
+    }
     r.runTicks = sys.runTicks();
-    r.pmWrites = s.get("mc.pmWrites");
-    r.pmReads = s.get("mc.pmReads");
-    r.cyclesBlocked = s.get("pb.cyclesBlocked");
-    r.cyclesStalled = s.get("pb.cyclesStalled");
-    r.dfenceStalled = s.get("core.dfenceStalled");
-    r.sfenceStalled = s.get("core.sfenceStalled");
-    r.entriesInserted = s.get("pb.entriesInserted");
-    r.epochs = s.get("et.epochsOpened");
-    r.crossDeps = s.get("et.interTEpochConflict");
-    r.totSpecWrites = s.get("pb.totSpecWrites");
-    r.totalUndo = s.get("rt.totalUndo");
-    r.totalDelay = s.get("rt.totalDelay");
-    r.nacks = s.get("rt.nacks");
-    r.rtMaxOccupancy = s.get("rt.maxOccupancy");
-    r.wpqCoalesced = s.get("mc.wpqCoalesced");
-    r.suppressedWrites = s.get("mc.suppressedWrites");
-    r.xpHits = s.get("mc.xpHits");
-    r.xpMisses = s.get("mc.xpMisses");
-    r.mediaBytesWritten = s.get("mc.bytesWritten");
-    r.mediaQueueDelayTicks = s.get("mc.bwQueueDelayTicks");
-    r.mediaBankBusyTicks = s.get("mc.bankBusyTicks");
     if (s.hasDist("pb.occupancy")) {
         r.pbOccMean = s.dist("pb.occupancy").mean();
         r.pbOccP99 = s.dist("pb.occupancy").percentile(99.0);
@@ -246,7 +229,6 @@ extractResult(System &sys, const std::string &workload,
             r.persistMax = h.max();
         }
     }
-    r.eventsExecuted = s.get("sim.eventsExecuted");
     return r;
 }
 
@@ -292,6 +274,24 @@ crashJob(const std::string &workload, const SimConfig &cfg,
 }
 
 } // namespace
+
+void
+ResultField::print(std::ostream &os, const RunResult &r) const
+{
+    if (count)
+        os << r.*count;
+    else
+        os << r.*real;
+}
+
+void
+ResultField::read(std::istream &is, RunResult &r) const
+{
+    if (count)
+        is >> r.*count;
+    else
+        is >> r.*real;
+}
 
 TraceCacheStats
 traceCacheStats()

@@ -10,6 +10,7 @@
 #define ASAP_HARNESS_RUNNER_HH
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -72,8 +73,7 @@ struct RunResult
     std::uint64_t serveRequests = 0;
 
     /** Kernel events the run executed. Deterministic (a pure function
-     *  of the configuration), so it is cached and emitted like any
-     *  other stat. */
+     *  of the configuration), so it is cached; artifacts omit it. */
     std::uint64_t eventsExecuted = 0;
 
     /** Host wall-clock nanoseconds the simulation took. Host-side
@@ -92,6 +92,91 @@ struct RunResult
 
     /** Per-core cycles, for normalising blocked/stall percentages. */
     std::uint64_t totalCoreCycles() const { return runTicks * cores; }
+};
+
+/** Where a numeric RunResult field appears. Cache entries carry every
+ *  field; JSON and CSV artifacts gate the groups so that sweeps
+ *  without media or serve jobs keep their older schema. */
+enum class ResultGroup
+{
+    All,   //!< every artifact
+    Media, //!< artifacts of sweeps with a non-default media profile
+    Serve, //!< artifacts of sweeps with serve:* jobs
+    Cache, //!< cache entries only
+};
+
+/** One numeric RunResult field. */
+struct ResultField
+{
+    const char *name; //!< cache-entry field and artifact column name
+    ResultGroup group;
+    std::uint64_t RunResult::*count; //!< the field (null for `real`)
+    /** StatSet counter extractResult() copies (null: derived). */
+    const char *stat = nullptr;
+    double RunResult::*real = nullptr; //!< pbOccMean, the one double
+
+    /** Write the field's value in @p r (cache and artifact format). */
+    void print(std::ostream &os, const RunResult &r) const;
+
+    /** Parse a value written by print() into @p r. */
+    void read(std::istream &is, RunResult &r) const;
+};
+
+/**
+ * Every numeric RunResult field, in cache-entry order; artifacts keep
+ * this order among the fields they carry. hostNs is absent: host wall
+ * time is non-deterministic, so it is never cached or emitted.
+ */
+inline constexpr ResultField kResultFields[] = {
+    {"runTicks", ResultGroup::All, &RunResult::runTicks},
+    {"pmWrites", ResultGroup::All, &RunResult::pmWrites, "mc.pmWrites"},
+    {"pmReads", ResultGroup::All, &RunResult::pmReads, "mc.pmReads"},
+    {"cyclesBlocked", ResultGroup::All, &RunResult::cyclesBlocked,
+     "pb.cyclesBlocked"},
+    {"cyclesStalled", ResultGroup::All, &RunResult::cyclesStalled,
+     "pb.cyclesStalled"},
+    {"dfenceStalled", ResultGroup::All, &RunResult::dfenceStalled,
+     "core.dfenceStalled"},
+    {"sfenceStalled", ResultGroup::All, &RunResult::sfenceStalled,
+     "core.sfenceStalled"},
+    {"entriesInserted", ResultGroup::All, &RunResult::entriesInserted,
+     "pb.entriesInserted"},
+    {"epochs", ResultGroup::All, &RunResult::epochs, "et.epochsOpened"},
+    {"crossDeps", ResultGroup::All, &RunResult::crossDeps,
+     "et.interTEpochConflict"},
+    {"totSpecWrites", ResultGroup::All, &RunResult::totSpecWrites,
+     "pb.totSpecWrites"},
+    {"totalUndo", ResultGroup::All, &RunResult::totalUndo, "rt.totalUndo"},
+    {"totalDelay", ResultGroup::All, &RunResult::totalDelay,
+     "rt.totalDelay"},
+    {"nacks", ResultGroup::All, &RunResult::nacks, "rt.nacks"},
+    {"rtMaxOccupancy", ResultGroup::All, &RunResult::rtMaxOccupancy,
+     "rt.maxOccupancy"},
+    {"pbOccMean", ResultGroup::All, nullptr, nullptr,
+     &RunResult::pbOccMean},
+    {"pbOccP99", ResultGroup::All, &RunResult::pbOccP99},
+    {"wpqCoalesced", ResultGroup::All, &RunResult::wpqCoalesced,
+     "mc.wpqCoalesced"},
+    {"suppressedWrites", ResultGroup::All, &RunResult::suppressedWrites,
+     "mc.suppressedWrites"},
+    {"xpHits", ResultGroup::Media, &RunResult::xpHits, "mc.xpHits"},
+    {"xpMisses", ResultGroup::Media, &RunResult::xpMisses, "mc.xpMisses"},
+    {"mediaBytesWritten", ResultGroup::Media,
+     &RunResult::mediaBytesWritten, "mc.bytesWritten"},
+    {"mediaQueueDelayTicks", ResultGroup::Media,
+     &RunResult::mediaQueueDelayTicks, "mc.bwQueueDelayTicks"},
+    {"mediaBankBusyTicks", ResultGroup::Media,
+     &RunResult::mediaBankBusyTicks, "mc.bankBusyTicks"},
+    {"eventsExecuted", ResultGroup::Cache, &RunResult::eventsExecuted,
+     "sim.eventsExecuted"},
+    // Persist-latency tail in ticks (cycles @2 GHz; divide by 2 for
+    // nanoseconds) and request throughput.
+    {"persistSamples", ResultGroup::Serve, &RunResult::persistSamples},
+    {"persistP50", ResultGroup::Serve, &RunResult::persistP50},
+    {"persistP99", ResultGroup::Serve, &RunResult::persistP99},
+    {"persistP999", ResultGroup::Serve, &RunResult::persistP999},
+    {"persistMax", ResultGroup::Serve, &RunResult::persistMax},
+    {"serveRequests", ResultGroup::Serve, &RunResult::serveRequests},
 };
 
 /**

@@ -44,10 +44,6 @@ System::System(const SimConfig &cfg_in, bool keep_run_log)
     board = std::make_unique<ReleaseBoard>(cfg.numCores);
     ctx = std::make_unique<ModelContext>(
         ModelContext{cfg, eq, stats_, amap, mcs, &media, nullptr, {}});
-    if (cfg.model == ModelKind::Eadr) {
-        ctx->eadrDirty = std::make_shared<
-            std::unordered_map<std::uint64_t, std::uint64_t>>();
-    }
 
     for (unsigned t = 0; t < cfg.numCores; ++t) {
         std::unique_ptr<PersistModel> m;

@@ -46,28 +46,6 @@ class BaselineModel : public PersistModel
     void dfence(Callback done) override { flushAndFence(std::move(done)); }
     void release(Callback done) override { flushAndFence(std::move(done)); }
 
-    void
-    acquire(std::uint16_t, std::uint64_t, Callback done) override
-    {
-        done();
-    }
-
-    std::uint64_t
-    conflictSource(std::uint16_t) override
-    {
-        return 0; // no epoch hardware
-    }
-
-    void conflictDependent(std::uint16_t, std::uint64_t) override {}
-
-    bool
-    registerDependent(std::uint16_t, std::uint64_t) override
-    {
-        return true; // synchronous: everything published is durable
-    }
-
-    void dependencyResolved(std::uint16_t, std::uint64_t) override {}
-
     std::uint64_t currentEpoch() const override { return epoch; }
 
     void

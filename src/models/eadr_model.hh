@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 
@@ -30,6 +31,11 @@ class EadrModel : public PersistModel
     EadrModel(std::uint16_t thread, ModelContext &ctx)
         : PersistModel(thread, ctx)
     {
+        // The first core creates the map every core shares.
+        if (!ctx.eadrDirty) {
+            ctx.eadrDirty = std::make_shared<
+                std::unordered_map<std::uint64_t, std::uint64_t>>();
+        }
     }
 
     void
@@ -55,22 +61,6 @@ class EadrModel : public PersistModel
 
     void release(Callback done) override { done(); }
 
-    void
-    acquire(std::uint16_t, std::uint64_t, Callback done) override
-    {
-        done();
-    }
-
-    std::uint64_t conflictSource(std::uint16_t) override { return 0; }
-    void conflictDependent(std::uint16_t, std::uint64_t) override {}
-
-    bool
-    registerDependent(std::uint16_t, std::uint64_t) override
-    {
-        return true;
-    }
-
-    void dependencyResolved(std::uint16_t, std::uint64_t) override {}
     std::uint64_t currentEpoch() const override { return 1; }
 
     std::uint64_t
@@ -84,7 +74,7 @@ class EadrModel : public PersistModel
     {
         // The battery drains every cached dirty line to the media.
         // The map is shared; the first model to crash drains it.
-        if (ctx.media && ctx.eadrDirty) {
+        if (ctx.media) {
             ctx.stats.inc("eadr.batteryDrainWrites",
                           ctx.eadrDirty->size());
             for (const auto &[line, value] : *ctx.eadrDirty)

@@ -1,19 +1,14 @@
 #include "models/hops_model.hh"
 
-#include <utility>
-
 #include "sim/log.hh"
 
 namespace asap
 {
 
 HopsModel::HopsModel(std::uint16_t thread, ModelContext &ctx)
-    : PersistModel(thread, ctx),
-      et(thread, ctx.cfg.etEntries, ctx.stats),
-      pb(thread, ctx.cfg, ctx.eq, ctx.stats, ctx.amap, ctx.mcs),
+    : BufferedModel(thread, ctx),
       stTsUpdates(&ctx.stats.counter("hops.tsUpdates")),
-      stPolls(&ctx.stats.counter("hops.polls")),
-      stDfenceStalled(&ctx.stats.counter("core.dfenceStalled"))
+      stPolls(&ctx.stats.counter("hops.polls"))
 {
     et.setCommittableHook([this](std::uint64_t ts) {
         // No controller-side protocol: safe + complete commits
@@ -38,94 +33,13 @@ HopsModel::HopsModel(std::uint16_t thread, ModelContext &ctx)
         });
 }
 
-bool
-HopsModel::epochCommitted(std::uint64_t ts) const
-{
-    return ts <= et.lastCommitted();
-}
-
 void
-HopsModel::pmStore(std::uint64_t line, std::uint64_t value, Callback done)
-{
-    const std::uint64_t ts = et.currentEpoch();
-    et.addWrite(ts);
-    pb.enqueue(line, value, ts, std::move(done));
-}
-
-void
-HopsModel::ofence(Callback done)
-{
-    et.closeEpoch(false, [this, done = std::move(done)]() {
-        pb.kick();
-        done();
-    });
-}
-
-void
-HopsModel::dfence(Callback done)
-{
-    const Tick start = ctx.eq.now();
-    et.closeEpoch(false, [this, start, done = std::move(done)]() {
-        pb.kick();
-        et.waitAllCommitted([this, start, done]() {
-            *stDfenceStalled += ctx.eq.now() - start;
-            done();
-        });
-    });
-}
-
-void
-HopsModel::release(Callback done)
-{
-    ofence(std::move(done));
-}
-
-void
-HopsModel::acquire(std::uint16_t src_thread, std::uint64_t src_epoch,
-                   Callback done)
-{
-    if (src_epoch == 0 || src_thread == thread) {
-        done();
-        return;
-    }
-    et.closeEpoch(false, [this, src_thread, src_epoch,
-                          done = std::move(done)]() {
-        et.openDependentEpoch(src_thread, src_epoch);
-        schedulePoll(src_thread, src_epoch);
-        pb.kick();
-        done();
-    });
-}
-
-std::uint64_t
-HopsModel::conflictSource(std::uint16_t requester)
-{
-    (void)requester;
-    const std::uint64_t cur = et.currentEpoch();
-    et.closeEpoch(true, []() {});
-    pb.kick();
-    return cur;
-}
-
-void
-HopsModel::conflictDependent(std::uint16_t src_thread,
-                             std::uint64_t src_epoch)
-{
-    et.closeEpoch(true, [this, src_thread, src_epoch]() {
-        et.openDependentEpoch(src_thread, src_epoch);
-        schedulePoll(src_thread, src_epoch);
-        pb.kick();
-    });
-}
-
-void
-HopsModel::schedulePoll(std::uint16_t src_thread, std::uint64_t src_epoch)
+HopsModel::awaitSource(std::uint16_t src_thread, std::uint64_t src_epoch)
 {
     // Poll the global timestamp register every hopsPollPeriod cycles;
     // each access takes hopsPollCost cycles (Section VII's corrected
     // polling implementation).
-    auto *peer = static_cast<HopsModel *>(ctx.peers[src_thread]);
-    if (peer->epochCommitted(src_epoch)) {
+    if (src_epoch <= ctx.peers[src_thread]->lastCommittedEpoch()) {
         // Committed before we even started waiting: resolve after a
         // single register read.
         ++*stPolls;
@@ -142,8 +56,7 @@ HopsModel::schedulePoll(std::uint16_t src_thread, std::uint64_t src_epoch)
         if (crashed)
             return;
         ++*stPolls;
-        auto *p = static_cast<HopsModel *>(ctx.peers[src_thread]);
-        if (p->epochCommitted(src_epoch)) {
+        if (src_epoch <= ctx.peers[src_thread]->lastCommittedEpoch()) {
             ctx.eq.scheduleAfter(ctx.cfg.hopsPollCost,
                                  [this, src_thread, src_epoch]() {
                 if (crashed)
@@ -151,37 +64,9 @@ HopsModel::schedulePoll(std::uint16_t src_thread, std::uint64_t src_epoch)
                 dependencyResolved(src_thread, src_epoch);
             });
         } else {
-            schedulePoll(src_thread, src_epoch);
+            awaitSource(src_thread, src_epoch);
         }
     });
-}
-
-bool
-HopsModel::registerDependent(std::uint16_t, std::uint64_t epoch)
-{
-    // HOPS dependents poll; report only whether it already committed.
-    return epochCommitted(epoch);
-}
-
-void
-HopsModel::dependencyResolved(std::uint16_t src_thread,
-                              std::uint64_t src_epoch)
-{
-    et.resolveDependency(src_thread, src_epoch);
-    pb.kick();
-}
-
-std::uint64_t
-HopsModel::currentEpoch() const
-{
-    return et.currentEpoch();
-}
-
-void
-HopsModel::crash()
-{
-    crashed = true;
-    pb.crash();
 }
 
 } // namespace asap

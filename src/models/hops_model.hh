@@ -16,59 +16,26 @@
 
 #include <cstdint>
 
-#include "persist/epoch_table.hh"
-#include "persist/model.hh"
-#include "persist/persist_buffer.hh"
+#include "persist/buffered_model.hh"
 
 namespace asap
 {
 
 /** HOPS per-core persistence hardware. */
-class HopsModel : public PersistModel
+class HopsModel : public BufferedModel
 {
   public:
     HopsModel(std::uint16_t thread, ModelContext &ctx);
 
-    void pmStore(std::uint64_t line, std::uint64_t value,
-                 Callback done) override;
-    void ofence(Callback done) override;
-    void dfence(Callback done) override;
-    void release(Callback done) override;
-    void acquire(std::uint16_t src_thread, std::uint64_t src_epoch,
-                 Callback done) override;
-    std::uint64_t conflictSource(std::uint16_t requester) override;
-    void conflictDependent(std::uint16_t src_thread,
-                           std::uint64_t src_epoch) override;
-    bool registerDependent(std::uint16_t dep_thread,
-                           std::uint64_t epoch) override;
-    void dependencyResolved(std::uint16_t src_thread,
-                            std::uint64_t src_epoch) override;
-    std::uint64_t currentEpoch() const override;
-    std::uint64_t lastCommittedEpoch() const override
-    {
-        return et.lastCommitted();
-    }
-    void crash() override;
-
-    /** Has this core's epoch @p ts committed (global TS lookup)? */
-    bool epochCommitted(std::uint64_t ts) const;
-
-    /** Test support. */
-    EpochTable &epochTable() { return et; }
-    PersistBuffer &persistBuffer() { return pb; }
+  protected:
+    /** Poll the source thread's commit state via the global register. */
+    void awaitSource(std::uint16_t src_thread,
+                     std::uint64_t src_epoch) override;
 
   private:
-    /** Poll the source thread's commit state via the global register. */
-    void schedulePoll(std::uint16_t src_thread, std::uint64_t src_epoch);
-
-    EpochTable et;
-    PersistBuffer pb;
-    bool crashed = false;
-
     // Hot counters resolved once at construction (see StatSet::counter).
     std::uint64_t *stTsUpdates;
     std::uint64_t *stPolls;
-    std::uint64_t *stDfenceStalled;
 };
 
 } // namespace asap

@@ -41,7 +41,8 @@ struct ModelContext
     NvmContents *media = nullptr;
     /** eADR's battery-protected dirty data: one *coherent* map shared
      *  by every core (the cache hierarchy holds a single copy of each
-     *  line), so the crash drain preserves cross-core write order. */
+     *  line), so the crash drain preserves cross-core write order.
+     *  The first EadrModel creates it. */
     std::shared_ptr<std::unordered_map<std::uint64_t, std::uint64_t>>
         eadrDirty;
     /** Peer models by thread id; populated after construction. */
@@ -85,34 +86,40 @@ class PersistModel
      * (@p src_thread, @p src_epoch) — the epoch current at the
      * matching release. Pass src_thread == thread (self) or
      * src_epoch == 0 for an unsynchronised acquire (no dependency).
+     * Models without epoch hardware create no dependency.
      */
-    virtual void acquire(std::uint16_t src_thread,
-                         std::uint64_t src_epoch, Callback done) = 0;
+    virtual void
+    acquire(std::uint16_t src_thread, std::uint64_t src_epoch,
+            Callback done)
+    {
+        (void)src_thread;
+        (void)src_epoch;
+        done();
+    }
 
     /**
      * This core received a coherence forward for a line it modified
      * (epoch persistency conflict). Closes the current epoch and
-     * returns the epoch the requester must depend on.
+     * returns the epoch the requester must depend on; 0 (models
+     * without epoch hardware) means no dependency.
      */
-    virtual std::uint64_t conflictSource(std::uint16_t requester) = 0;
+    virtual std::uint64_t
+    conflictSource(std::uint16_t requester)
+    {
+        (void)requester;
+        return 0;
+    }
 
     /**
      * This core issued a conflicting access to a line modified by
      * @p src_thread in @p src_epoch: start a dependent epoch.
      */
     virtual void conflictDependent(std::uint16_t src_thread,
-                                   std::uint64_t src_epoch) = 0;
-
-    /**
-     * Register @p dep_thread for commit notification of @p epoch.
-     * @return true if the epoch has already committed
-     */
-    virtual bool registerDependent(std::uint16_t dep_thread,
-                                   std::uint64_t epoch) = 0;
-
-    /** A commit notification (CDR or poll) arrived at this core. */
-    virtual void dependencyResolved(std::uint16_t src_thread,
-                                    std::uint64_t src_epoch) = 0;
+                                   std::uint64_t src_epoch)
+    {
+        (void)src_thread;
+        (void)src_epoch;
+    }
 
     /** Epoch timestamp new writes would join right now. */
     virtual std::uint64_t currentEpoch() const = 0;

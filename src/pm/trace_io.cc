@@ -145,6 +145,13 @@ bool
 parseOps(Reader &r, std::uint32_t thread_count, TraceSet &out,
          std::string *why)
 {
+    // Each thread needs at least its op count: reject a corrupt
+    // header before allocating a vector per claimed thread.
+    if (thread_count > (r.data.size() - r.pos) / sizeof(std::uint64_t)) {
+        if (why)
+            *why = "thread count exceeds the op payload";
+        return false;
+    }
     TraceSet traces(thread_count);
     for (auto &ops : traces.threads) {
         std::uint64_t count = 0;

@@ -1,20 +1,26 @@
 /**
  * @file
- * Seeded mutation tests for the parser of on-disk state that other
- * processes write: result-cache entries. A damaged entry must be
- * rejected with a reason (the disk tier then re-simulates), never
- * take the process down. Each mutant applies one to three edits —
- * truncation, bit flip, random-byte insertion, plausible-byte
- * replacement — to a known-good serialization; whatever the parser
- * accepts must serialize and parse again.
+ * Seeded mutation tests for the parsers of on-disk state that other
+ * processes write: result-cache entries and trace files. A damaged
+ * file must be rejected with a reason (the disk tier then
+ * re-simulates or regenerates), never take the process down. Each
+ * mutant applies one to three edits — truncation, bit flip,
+ * random-byte insertion, plausible-byte replacement — to a known-good
+ * serialization; whatever the parser accepts must round-trip.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "exp/cache.hh"
+#include "pm/trace_io.hh"
+#include "sim/log.hh"
 #include "sim/rng.hh"
+#include "workloads/registry.hh"
 
 namespace asap
 {
@@ -110,6 +116,45 @@ TEST(CodecFuzz, CacheEntryMutantsRejectOrRoundTrip)
     // Both outcomes occur, so the mutants really reach the parser.
     EXPECT_GT(accepted, 0u);
     EXPECT_LT(accepted, kMutants);
+}
+
+TEST(CodecFuzz, TraceFileMutantsRejectOrRoundTrip)
+{
+    setLogQuiet(true);
+    WorkloadParams p;
+    p.opsPerThread = 10;
+    const TraceSet original = buildTrace("queue", 4, p);
+    const std::string key = "queue-fuzz-key";
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "asap_trace_fuzz.bin")
+            .string();
+    ASSERT_TRUE(saveTraceAtomic(original, path, key));
+    std::ostringstream image;
+    image << std::ifstream(path, std::ios::binary).rdbuf();
+    const std::string text = image.str();
+
+    const auto check = [&](const std::string &m, const std::string &what) {
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << m;
+        TraceSet loaded;
+        std::string why;
+        if (tryLoadTraceForKey(path, key, loaded, &why)) {
+            EXPECT_TRUE(loaded.threads == original.threads) << what;
+        } else {
+            EXPECT_FALSE(why.empty()) << what;
+        }
+    };
+    // Every single-bit flip of the 24-byte header, thread count
+    // included (the checksum covers only the body)...
+    for (unsigned bit = 0; bit < 24 * 8; ++bit) {
+        std::string m = text;
+        m[bit / 8] = static_cast<char>(m[bit / 8] ^ (1u << (bit % 8)));
+        check(m, "header bit " + std::to_string(bit));
+    }
+    // ...and seeded edits anywhere in the file.
+    Rng rng(0x7ace);
+    for (std::size_t i = 0; i < kMutants; ++i)
+        check(mutate(text, rng), "mutant " + std::to_string(i));
+    std::filesystem::remove(path);
 }
 
 } // namespace

@@ -146,15 +146,18 @@ TEST(CrashJobs, EntrySerializationRoundTripsVerdicts)
     EXPECT_EQ(back.run.runTicks, 4242u);
     expectSameVerdict(e.verdict, back.verdict);
 
-    // Run entries keep the PR 1 stat wire format, now prefixed by the
-    // code-version stamp (legacy unstamped entries still parse).
+    // Run entries keep the original stat wire format, prefixed by
+    // the code-version stamp: no kind line, stats right after the salt.
     CachedResult runEntry;
     runEntry.run.workload = "queue";
     runEntry.run.model = ModelKind::Hops;
     runEntry.run.persistency = PersistencyModel::Epoch;
-    EXPECT_EQ(serializeEntry(runEntry),
-              std::string("codeSalt ") + cacheCodeSalt() + "\n" +
-                  serializeResult(runEntry.run));
+    const std::string runText = serializeEntry(runEntry);
+    EXPECT_EQ(runText.rfind(std::string("codeSalt ") + cacheCodeSalt() +
+                                "\nworkload queue\nmodel hops\n",
+                            0),
+              0u);
+    EXPECT_EQ(runText.find("kind "), std::string::npos);
 
     // Truncation is rejected.
     const std::string text = serializeEntry(e);

@@ -45,25 +45,40 @@ expectSameResult(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.model, b.model);
     EXPECT_EQ(a.persistency, b.persistency);
     EXPECT_EQ(a.cores, b.cores);
-    EXPECT_EQ(a.runTicks, b.runTicks);
-    EXPECT_EQ(a.pmWrites, b.pmWrites);
-    EXPECT_EQ(a.pmReads, b.pmReads);
-    EXPECT_EQ(a.cyclesBlocked, b.cyclesBlocked);
-    EXPECT_EQ(a.cyclesStalled, b.cyclesStalled);
-    EXPECT_EQ(a.dfenceStalled, b.dfenceStalled);
-    EXPECT_EQ(a.sfenceStalled, b.sfenceStalled);
-    EXPECT_EQ(a.entriesInserted, b.entriesInserted);
-    EXPECT_EQ(a.epochs, b.epochs);
-    EXPECT_EQ(a.crossDeps, b.crossDeps);
-    EXPECT_EQ(a.totSpecWrites, b.totSpecWrites);
-    EXPECT_EQ(a.totalUndo, b.totalUndo);
-    EXPECT_EQ(a.totalDelay, b.totalDelay);
-    EXPECT_EQ(a.nacks, b.nacks);
-    EXPECT_EQ(a.rtMaxOccupancy, b.rtMaxOccupancy);
-    EXPECT_DOUBLE_EQ(a.pbOccMean, b.pbOccMean);
-    EXPECT_EQ(a.pbOccP99, b.pbOccP99);
-    EXPECT_EQ(a.wpqCoalesced, b.wpqCoalesced);
-    EXPECT_EQ(a.suppressedWrites, b.suppressedWrites);
+    EXPECT_EQ(a.media, b.media);
+    for (const ResultField &f : kResultFields) {
+        if (f.count) {
+            EXPECT_EQ(a.*f.count, b.*f.count) << f.name;
+        } else {
+            EXPECT_DOUBLE_EQ(a.*f.real, b.*f.real) << f.name;
+        }
+    }
+}
+
+/** First value everyField() assigns; later rows count up from it. */
+constexpr std::uint64_t kFirstFieldValue = 1000;
+
+/** A Run entry with every kResultFields field set to a distinct
+ *  non-zero value and a non-default media label: a codec that reads
+ *  any field into the wrong member fails expectSameResult. */
+CachedResult
+everyField()
+{
+    CachedResult e;
+    RunResult &r = e.run;
+    r.workload = "queue";
+    r.model = ModelKind::Hops;
+    r.persistency = PersistencyModel::Epoch;
+    r.cores = 8;
+    r.media = "cxl-flash";
+    std::uint64_t next = kFirstFieldValue;
+    for (const ResultField &f : kResultFields) {
+        if (f.count)
+            r.*f.count = next++;
+        else
+            r.*f.real = 3.25;
+    }
+    return e;
 }
 
 TEST(SweepSpec, ExpandsCrossProductInTableOrder)
@@ -192,39 +207,38 @@ TEST(Cache, EveryKeyedConfigKnobIsOverridable)
 
 TEST(Cache, ResultSerializationRoundTrips)
 {
-    RunResult r;
-    r.workload = "queue";
-    r.model = ModelKind::Hops;
-    r.persistency = PersistencyModel::Epoch;
-    r.cores = 8;
-    r.runTicks = 123456789;
-    r.pmWrites = 42;
-    r.pbOccMean = 3.25;
-    r.pbOccP99 = 17;
-    r.suppressedWrites = 5;
+    const CachedResult e = everyField();
+    // Every row names its own member: no row overwrote another's.
+    std::uint64_t next = kFirstFieldValue;
+    for (const ResultField &f : kResultFields) {
+        if (f.count) {
+            EXPECT_EQ(e.run.*f.count, next++) << f.name;
+        }
+    }
 
-    RunResult back;
-    ASSERT_TRUE(deserializeResult(serializeResult(r), back));
-    expectSameResult(r, back);
+    CachedResult back;
+    ASSERT_TRUE(deserializeEntry(serializeEntry(e), back));
+    EXPECT_EQ(back.kind, JobKind::Run);
+    expectSameResult(e.run, back.run);
 
     // Truncated text must be rejected, not half-parsed.
-    const std::string text = serializeResult(r);
+    const std::string text = serializeEntry(e);
     EXPECT_FALSE(
-        deserializeResult(text.substr(0, text.size() / 2), back));
+        deserializeEntry(text.substr(0, text.size() / 2), back));
 }
 
 TEST(Cache, MemoryTierHitsAndMisses)
 {
     ResultCache cache;
-    RunResult r;
-    r.workload = "queue";
-    r.runTicks = 99;
+    CachedResult e;
+    e.run.workload = "queue";
+    e.run.runTicks = 99;
 
-    RunResult out;
+    CachedResult out;
     EXPECT_FALSE(cache.lookup("exp-k1", out));
-    cache.insert("exp-k1", r);
+    cache.insert("exp-k1", e);
     EXPECT_TRUE(cache.lookup("exp-k1", out));
-    EXPECT_EQ(out.runTicks, 99u);
+    EXPECT_EQ(out.run.runTicks, 99u);
     EXPECT_EQ(cache.stats().memHits, 1u);
     EXPECT_EQ(cache.stats().misses, 1u);
     EXPECT_EQ(cache.stats().hits(), 1u);
@@ -262,19 +276,16 @@ TEST(Cache, DiskTierSurvivesProcessCacheLoss)
             .string();
     std::filesystem::remove_all(dir);
 
-    RunResult r;
-    r.workload = "cceh";
-    r.runTicks = 1234;
-    r.pbOccMean = 1.5;
+    const CachedResult e = everyField();
     {
         ResultCache writer(dir);
-        writer.insert("exp-disk1", r);
+        writer.insert("exp-disk1", e);
     }
     // A fresh cache (≈ new process) must find it on disk.
     ResultCache reader(dir);
-    RunResult out;
+    CachedResult out;
     ASSERT_TRUE(reader.lookup("exp-disk1", out));
-    expectSameResult(r, out);
+    expectSameResult(e.run, out.run);
     EXPECT_EQ(reader.stats().diskHits, 1u);
     // Promoted to memory: the second lookup is a memory hit.
     ASSERT_TRUE(reader.lookup("exp-disk1", out));
@@ -284,13 +295,11 @@ TEST(Cache, DiskTierSurvivesProcessCacheLoss)
 
 TEST(Cache, RejectsEntriesFromAnotherCodeVersion)
 {
-    RunResult r;
-    r.workload = "queue";
-    r.model = ModelKind::Asap;
-    r.persistency = PersistencyModel::Release;
-    r.runTicks = 42;
     CachedResult e;
-    e.run = r;
+    e.run.workload = "queue";
+    e.run.model = ModelKind::Asap;
+    e.run.persistency = PersistencyModel::Release;
+    e.run.runTicks = 42;
 
     // Every serialized entry carries the running code's salt...
     const std::string text = serializeEntry(e);
@@ -309,7 +318,8 @@ TEST(Cache, RejectsEntriesFromAnotherCodeVersion)
 
     // Entries written before the salt line existed still load.
     CachedResult legacy;
-    EXPECT_TRUE(deserializeEntry(serializeResult(r), legacy, &why))
+    EXPECT_TRUE(
+        deserializeEntry(text.substr(saltLine.size()), legacy, &why))
         << why;
     EXPECT_EQ(legacy.run.runTicks, 42u);
 }

@@ -222,12 +222,16 @@ TEST_F(MediaTest, Fig08ModelsPinnedOnCcehAndSkiplist)
     SweepSpec spec;
     spec.workloads = {"cceh", "skiplist"};
     spec.models = {{ModelKind::Baseline, PersistencyModel::Release},
+                   {ModelKind::Baseline, PersistencyModel::Epoch},
                    {ModelKind::Hops, PersistencyModel::Epoch},
                    {ModelKind::Hops, PersistencyModel::Release},
                    {ModelKind::Asap, PersistencyModel::Epoch},
                    {ModelKind::Asap, PersistencyModel::Release},
-                   {ModelKind::Eadr, PersistencyModel::Release}};
+                   {ModelKind::Eadr, PersistencyModel::Release},
+                   {ModelKind::Eadr, PersistencyModel::Epoch}};
     spec.params = params30();
+    // Baseline and eADR have no epoch hardware: under EP they answer
+    // every conflict with "no dependency", so their rows equal RP's.
 
     ResultCache cache;
     RunOptions opt;
@@ -240,6 +244,8 @@ TEST_F(MediaTest, Fig08ModelsPinnedOnCcehAndSkiplist)
         "wpqCoalesced,suppressedWrites\n"
         "cceh,baseline,rp,4,1,30,90986,110,0,0,0,0,14080,0,0,0,0,0,0,0,0,"
         "0,0,0,0\n"
+        "cceh,baseline,ep,4,1,30,90986,110,0,0,0,0,14080,0,0,0,0,0,0,0,0,"
+        "0,0,0,0\n"
         "cceh,hops,ep,4,1,30,92176,110,0,52227,0,16584,0,133,572,174,0,0,"
         "0,0,0,0.281604,4,23,0\n"
         "cceh,hops,rp,4,1,30,89176,109,0,24676,0,6138,0,148,319,95,0,0,0,"
@@ -250,7 +256,11 @@ TEST_F(MediaTest, Fig08ModelsPinnedOnCcehAndSkiplist)
         "0,3,0.041141,1,110,0\n"
         "cceh,eadr,rp,4,1,30,87100,109,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,111,"
         "0\n"
+        "cceh,eadr,ep,4,1,30,87100,109,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,111,"
+        "0\n"
         "skiplist,baseline,rp,4,1,30,85746,419,0,0,0,0,45952,0,0,0,0,0,0,"
+        "0,0,0,0,115,0\n"
+        "skiplist,baseline,ep,4,1,30,85746,419,0,0,0,0,45952,0,0,0,0,0,0,"
         "0,0,0,0,115,0\n"
         "skiplist,hops,ep,4,1,30,87136,419,0,325242,0,33567,0,537,1328,"
         "423,0,0,0,0,0,10.4599,20,118,0\n"
@@ -261,6 +271,8 @@ TEST_F(MediaTest, Fig08ModelsPinnedOnCcehAndSkiplist)
         "skiplist,asap,rp,4,1,30,40096,429,157,0,0,1110,0,832,601,119,"
         "639,405,234,0,12,0.900985,11,398,0\n"
         "skiplist,eadr,rp,4,1,30,39798,412,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"
+        "563,0\n"
+        "skiplist,eadr,ep,4,1,30,39798,412,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"
         "563,0\n";
     EXPECT_EQ(pinnedCsv(runSweep(spec, opt)), expected);
 }
@@ -474,7 +486,8 @@ TEST_F(MediaTest, MediaColumnsAppearOnlyWithNonDefaultProfiles)
 
 TEST_F(MediaTest, CacheEntrySurvivesMediaFieldsRoundTrip)
 {
-    RunResult r;
+    CachedResult e;
+    RunResult &r = e.run;
     r.workload = "queue";
     r.model = ModelKind::Asap;
     r.persistency = PersistencyModel::Release;
@@ -487,14 +500,14 @@ TEST_F(MediaTest, CacheEntrySurvivesMediaFieldsRoundTrip)
     r.mediaQueueDelayTicks = 999;
     r.mediaBankBusyTicks = 31337;
 
-    RunResult back;
-    ASSERT_TRUE(deserializeResult(serializeResult(r), back));
-    EXPECT_EQ(back.media, r.media);
-    EXPECT_EQ(back.xpHits, r.xpHits);
-    EXPECT_EQ(back.xpMisses, r.xpMisses);
-    EXPECT_EQ(back.mediaBytesWritten, r.mediaBytesWritten);
-    EXPECT_EQ(back.mediaQueueDelayTicks, r.mediaQueueDelayTicks);
-    EXPECT_EQ(back.mediaBankBusyTicks, r.mediaBankBusyTicks);
+    CachedResult back;
+    ASSERT_TRUE(deserializeEntry(serializeEntry(e), back));
+    EXPECT_EQ(back.run.media, r.media);
+    EXPECT_EQ(back.run.xpHits, r.xpHits);
+    EXPECT_EQ(back.run.xpMisses, r.xpMisses);
+    EXPECT_EQ(back.run.mediaBytesWritten, r.mediaBytesWritten);
+    EXPECT_EQ(back.run.mediaQueueDelayTicks, r.mediaQueueDelayTicks);
+    EXPECT_EQ(back.run.mediaBankBusyTicks, r.mediaBankBusyTicks);
 }
 
 TEST_F(MediaTest, CrashCampaignConsistentOnNonDefaultMedia)

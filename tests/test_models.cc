@@ -8,13 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "core/asap_model.hh"
-#include "core/recovery_table.hh"
-#include "models/baseline_model.hh"
-#include "models/eadr_model.hh"
-#include "models/hops_model.hh"
+#include "harness/system.hh"
 #include "sim/log.hh"
 
 namespace asap
@@ -22,63 +16,38 @@ namespace asap
 namespace
 {
 
+SimConfig
+rigConfig(ModelKind kind)
+{
+    setLogQuiet(true);
+    SimConfig cfg;
+    cfg.model = kind;
+    cfg.numCores = 2;
+    return cfg;
+}
+
+/** A two-core, two-MC System whose persistence models the tests
+ *  drive directly: no cores replay a trace. */
 struct ModelRig
 {
-    SimConfig cfg;
-    EventQueue eq;
-    NvmContents media;
-    StatSet stats;
-    AddressMap amap{2, 256};
-    std::vector<std::unique_ptr<MemoryController>> mcOwners;
-    std::vector<MemoryController *> mcs;
-    std::vector<std::unique_ptr<RecoveryTable>> rts;
-    std::unique_ptr<ModelContext> ctx;
-    std::vector<std::unique_ptr<PersistModel>> owners;
+    System sys;
+    const SimConfig &cfg = sys.config();
+    EventQueue &eq = sys.eventQueue();
+    NvmContents &media = sys.nvm();
+    StatSet &stats = sys.stats();
 
-    explicit ModelRig(ModelKind kind, unsigned threads = 2)
+    explicit ModelRig(const SimConfig &c) : sys(c) {}
+    explicit ModelRig(ModelKind kind) : ModelRig(rigConfig(kind)) {}
+
+    PersistModel &model(unsigned t) { return sys.model(t); }
+
+    /** Power failure of the memory controllers. */
+    void
+    crashMcs()
     {
-        setLogQuiet(true);
-        cfg.model = kind;
-        for (unsigned i = 0; i < 2; ++i) {
-            mcOwners.push_back(std::make_unique<MemoryController>(
-                i, cfg, eq, media, stats));
-            mcs.push_back(mcOwners.back().get());
-        }
-        if (kind == ModelKind::Asap) {
-            for (unsigned i = 0; i < 2; ++i) {
-                rts.push_back(std::make_unique<RecoveryTable>(
-                    i, cfg.rtEntries, stats));
-                mcs[i]->setPolicy(rts.back().get());
-            }
-        }
-        ctx = std::make_unique<ModelContext>(
-            ModelContext{cfg, eq, stats, amap, mcs, &media, nullptr,
-                         {}});
-        if (kind == ModelKind::Eadr) {
-            ctx->eadrDirty = std::make_shared<
-                std::unordered_map<std::uint64_t, std::uint64_t>>();
-        }
-        for (unsigned t = 0; t < threads; ++t) {
-            switch (kind) {
-              case ModelKind::Baseline:
-                owners.push_back(
-                    std::make_unique<BaselineModel>(t, *ctx));
-                break;
-              case ModelKind::Hops:
-                owners.push_back(std::make_unique<HopsModel>(t, *ctx));
-                break;
-              case ModelKind::Asap:
-                owners.push_back(std::make_unique<AsapModel>(t, *ctx));
-                break;
-              case ModelKind::Eadr:
-                owners.push_back(std::make_unique<EadrModel>(t, *ctx));
-                break;
-            }
-            ctx->peers.push_back(owners.back().get());
-        }
+        for (unsigned i = 0; i < cfg.numMCs; ++i)
+            sys.mc(i).crash();
     }
-
-    PersistModel &model(unsigned t) { return *owners[t]; }
 };
 
 // ------------------------------------------------------------------ ASAP
@@ -153,21 +122,10 @@ TEST(AsapModelTest, CrossDependencyCdrFlow)
 
 TEST(AsapModelTest, NackTriggersConservativeFallback)
 {
-    ModelRig rig(ModelKind::Asap);
-    rig.cfg.rtEntries = 2; // shrink before models? rts already built.
-    // Rebuild a rig with tiny recovery tables instead.
-    SimConfig small;
-    small.model = ModelKind::Asap;
-    small.rtEntries = 2;
-    ModelRig rig2(ModelKind::Asap);
-    // Replace policies with tiny tables.
-    rig2.rts.clear();
-    for (unsigned i = 0; i < 2; ++i) {
-        rig2.rts.push_back(
-            std::make_unique<RecoveryTable>(i, 2, rig2.stats));
-        rig2.mcs[i]->setPolicy(rig2.rts.back().get());
-    }
-    auto &m = rig2.model(0);
+    SimConfig cfg = rigConfig(ModelKind::Asap);
+    cfg.rtEntries = 2;
+    ModelRig rig(cfg);
+    auto &m = rig.model(0);
     // Epoch 1 keeps a write pending so epochs 2.. stay unsafe, and a
     // stream of later-epoch writes overwhelms the 2-entry tables.
     for (int e = 0; e < 12; ++e) {
@@ -177,13 +135,13 @@ TEST(AsapModelTest, NackTriggersConservativeFallback)
     }
     bool done = false;
     m.dfence([&]() { done = true; });
-    rig2.eq.run();
+    rig.eq.run();
     EXPECT_TRUE(done);
-    EXPECT_GT(rig2.stats.get("rt.nacks"), 0u);
-    EXPECT_GT(rig2.stats.get("asap.conservativeFallbacks"), 0u);
+    EXPECT_GT(rig.stats.get("rt.nacks"), 0u);
+    EXPECT_GT(rig.stats.get("asap.conservativeFallbacks"), 0u);
     // All writes still became durable despite the NACKs.
     for (int e = 0; e < 12; ++e) {
-        EXPECT_EQ(rig2.media.read(
+        EXPECT_EQ(rig.media.read(
                       static_cast<std::uint64_t>(e * 2 + 1)),
                   static_cast<std::uint64_t>(e));
     }
@@ -201,10 +159,9 @@ TEST(AsapModelTest, CrashRewindsUncommittedSpeculation)
     // Run a short while: epoch 2's early flush may speculatively
     // reach memory.
     rig.eq.run(200);
-    for (auto &o : rig.owners)
-        o->crash();
-    for (auto *mc : rig.mcs)
-        mc->crash();
+    rig.model(0).crash();
+    rig.model(1).crash();
+    rig.crashMcs();
     // Whatever happened, line 1 must hold 0, 100 or 200 in a state
     // consistent with epoch order: if 200 survived, epoch 1 (same
     // line) must have been superseded — always true here. The key
@@ -310,8 +267,7 @@ TEST(BaselineModelTest, UnflushedWritesDieInCrash)
     m.pmStore(1, 100, []() {});
     // No fence: the write sits in the (volatile) cache.
     m.crash();
-    for (auto *mc : rig.mcs)
-        mc->crash();
+    rig.crashMcs();
     EXPECT_EQ(rig.media.read(1), 0u);
 }
 

@@ -28,6 +28,15 @@ namespace fs = std::filesystem;
 namespace
 {
 
+/** A result's cache-entry text: equal texts, equal cached fields. */
+std::string
+entryText(const RunResult &r)
+{
+    CachedResult e;
+    e.run = r;
+    return serializeEntry(e);
+}
+
 class TraceCacheTest : public ::testing::Test
 {
   protected:
@@ -121,7 +130,7 @@ TEST_F(TraceCacheTest, ColdRecordsWarmReplaysByteIdentically)
 
     // Everything deterministic round-trips exactly (hostNs is not in
     // the serialization, by design — it never matches across runs).
-    EXPECT_EQ(serializeResult(cold), serializeResult(warm));
+    EXPECT_EQ(entryText(cold), entryText(warm));
     EXPECT_EQ(cold.eventsExecuted, warm.eventsExecuted);
     EXPECT_GT(warm.eventsExecuted, 0u);
     EXPECT_GT(warm.hostNs, 0u); // the simulation itself still ran
@@ -153,7 +162,7 @@ TEST_F(TraceCacheTest, TruncatedFileWarnsAndRegenerates)
     const TraceCacheStats s = traceCacheStats();
     EXPECT_EQ(s.misses, 1u);  // counted as a generation, not a replay
     EXPECT_EQ(s.diskHits, 0u);
-    EXPECT_EQ(serializeResult(good), serializeResult(redone));
+    EXPECT_EQ(entryText(good), entryText(redone));
     // The regeneration rewrote the file, restoring the tier.
     EXPECT_EQ(fs::file_size(file), full_size);
     clearTraceCache();
@@ -180,7 +189,7 @@ TEST_F(TraceCacheTest, CorruptPayloadWarnsAndRegenerates)
     const std::string log = ::testing::internal::GetCapturedStderr();
     EXPECT_NE(log.find("regenerating"), std::string::npos) << log;
     EXPECT_NE(log.find("checksum"), std::string::npos) << log;
-    EXPECT_EQ(serializeResult(good), serializeResult(redone));
+    EXPECT_EQ(entryText(good), entryText(redone));
 }
 
 TEST_F(TraceCacheTest, ParameterKeyMismatchRegenerates)
@@ -198,7 +207,7 @@ TEST_F(TraceCacheTest, ParameterKeyMismatchRegenerates)
     const std::string log = ::testing::internal::GetCapturedStderr();
     EXPECT_NE(log.find("regenerating"), std::string::npos) << log;
     EXPECT_NE(log.find("key mismatch"), std::string::npos) << log;
-    EXPECT_EQ(serializeResult(good), serializeResult(redone));
+    EXPECT_EQ(entryText(good), entryText(redone));
 }
 
 TEST_F(TraceCacheTest, StaleCodeSaltRegenerates)
@@ -224,7 +233,7 @@ TEST_F(TraceCacheTest, StaleCodeSaltRegenerates)
     EXPECT_NE(log.find("regenerating"), std::string::npos) << log;
     EXPECT_NE(log.find("key mismatch"), std::string::npos) << log;
     EXPECT_EQ(traceCacheStats().diskHits, 0u);
-    EXPECT_EQ(serializeResult(good), serializeResult(redone));
+    EXPECT_EQ(entryText(good), entryText(redone));
     EXPECT_EQ(embeddedKey(file), key); // rewritten under this salt
 }
 
