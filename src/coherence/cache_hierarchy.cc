@@ -35,11 +35,10 @@ CacheHierarchy::access(std::uint16_t thread, std::uint64_t line,
     // conflict with a *modified* remote line; writes conflict with
     // the last writer even after intermediate readers downgraded it
     // (ownership transfer still orders the stores).
-    auto dit = directory.find(line);
-    if (dit != directory.end() && dit->second.owner != thread &&
-        (dit->second.modified || is_write)) {
+    DirEntry *dir = directory.find(line);
+    if (dir && dir->owner != thread && (dir->modified || is_write)) {
         res.conflict = true;
-        res.srcThread = dit->second.owner;
+        res.srcThread = dir->owner;
         res.latency = cfg.cacheToCacheLatency;
         // The remote copy is downgraded (read) or invalidated (write);
         // either way its private caches no longer hold it modified.
@@ -53,46 +52,50 @@ CacheHierarchy::access(std::uint16_t thread, std::uint64_t line,
     }
 
     if (is_write) {
-        directory[line] = DirEntry{thread, true};
-    } else if (dit != directory.end() && res.conflict) {
-        dit->second.modified = false;
+        if (dir)
+            *dir = DirEntry{thread, true};
+        else
+            directory[line] = DirEntry{thread, true};
+    } else if (dir && res.conflict) {
+        dir->modified = false;
     }
 
-    // Walk the hierarchy for the latency unless a dirty transfer
-    // already sourced the data.
-    if (!res.conflict) {
-        if (pc.l1.access(line, is_write)) {
-            res.latency = cfg.l1Latency;
-            ++*stL1Hits;
-        } else if (pc.l2.access(line, is_write)) {
-            res.latency = cfg.l2Latency;
-            ++*stL2Hits;
-        } else if (llc.access(line, is_write)) {
+    // One probe per level allocates the line throughout (write-
+    // allocate, mostly-inclusive). The walk for the latency stops at
+    // the first hit, or never starts when a dirty transfer already
+    // sourced the data; only the level that answers refreshes its LRU
+    // state, the others just keep or gain the line.
+    bool walk = !res.conflict;
+    CacheArray::Victim victim;
+    if (pc.l1.probe(line, is_write, walk, victim) && walk) {
+        res.latency = cfg.l1Latency;
+        ++*stL1Hits;
+        walk = false;
+    }
+    if (pc.l2.probe(line, is_write, walk, victim) && walk) {
+        res.latency = cfg.l2Latency;
+        ++*stL2Hits;
+        walk = false;
+    }
+    if (llc.probe(line, is_write, walk, victim)) {
+        if (walk) {
             res.latency = cfg.llcLatency;
             ++*stLlcHits;
-        } else {
-            res.latency = is_pm ? mediaParams_.readLatency
-                                : mediaParams_.dramFillLatency;
-            ++*(is_pm ? stPmFills : stDramFills);
+            walk = false;
         }
+    } else if (victim.valid && victim.dirty) {
+        // PM lines are dropped on LLC eviction: durability flows
+        // through the persist buffers, not cache write-back. The
+        // Bloom filter may ask us to hold the line briefly.
+        if (evictFilter && evictFilter(victim.line)) {
+            ++*stLlcEvictDelayed;
+        }
+        ++*stLlcDirtyEvicts;
     }
-
-    // Allocate the line throughout (write-allocate, mostly-inclusive).
-    if (!pc.l1.contains(line))
-        pc.l1.insert(line, is_write);
-    if (!pc.l2.contains(line))
-        pc.l2.insert(line, is_write);
-    if (!llc.contains(line)) {
-        CacheArray::Victim v = llc.insert(line, is_write);
-        if (v.valid && v.dirty) {
-            // PM lines are dropped on LLC eviction: durability flows
-            // through the persist buffers, not cache write-back. The
-            // Bloom filter may ask us to hold the line briefly.
-            if (evictFilter && evictFilter(v.line)) {
-                ++*stLlcEvictDelayed;
-            }
-            ++*stLlcDirtyEvicts;
-        }
+    if (walk) {
+        res.latency = is_pm ? mediaParams_.readLatency
+                            : mediaParams_.dramFillLatency;
+        ++*(is_pm ? stPmFills : stDramFills);
     }
 
     return res;
@@ -105,16 +108,15 @@ CacheHierarchy::cleanLine(std::uint16_t thread, std::uint64_t line)
     privs[thread]->l1.clean(line);
     privs[thread]->l2.clean(line);
     llc.clean(line);
-    auto dit = directory.find(line);
-    if (dit != directory.end())
-        dit->second.modified = false;
+    if (DirEntry *dir = directory.find(line))
+        dir->modified = false;
 }
 
 int
 CacheHierarchy::lastWriter(std::uint64_t line) const
 {
-    auto it = directory.find(line);
-    return it == directory.end() ? -1 : static_cast<int>(it->second.owner);
+    const DirEntry *dir = directory.find(line);
+    return dir ? static_cast<int>(dir->owner) : -1;
 }
 
 } // namespace asap

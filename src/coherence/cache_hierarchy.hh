@@ -18,12 +18,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "coherence/cache_array.hh"
 #include "media/media.hh"
 #include "sim/config.hh"
+#include "sim/flat_map.hh"
 #include "sim/stats.hh"
 #include "sim/ticks.hh"
 
@@ -96,7 +96,7 @@ class CacheHierarchy
         std::uint16_t owner = 0;
         bool modified = false;
     };
-    std::unordered_map<std::uint64_t, DirEntry> directory;
+    FlatMap<DirEntry> directory;
 
     EvictFilter evictFilter;
 

@@ -263,11 +263,10 @@ crashJob(const std::string &workload, const SimConfig &cfg,
     v.actualTick = sys->runTicks();
     v.committedUpTo = sys->committedUpTo();
     v.storesLogged = sys->runLog().allStores().size();
-    for (const auto &[line, value] : sys->nvm().all()) {
-        (void)line;
+    sys->nvm().forEach([&v](std::uint64_t, std::uint64_t value) {
         if (value != 0)
             ++v.linesSurvived;
-    }
+    });
     v.undoReplayed = sys->stats().get("mc.undoRewindWrites");
     v.adrDrainWrites = sys->stats().get("mc.adrDrainWrites");
     return sys;

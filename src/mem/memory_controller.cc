@@ -48,8 +48,8 @@ MemoryController::MemoryController(unsigned id, const SimConfig &cfg,
 std::uint64_t
 MemoryController::durableValue(std::uint64_t line) const
 {
-    if (wpq.contains(line))
-        return wpq.pendingValue(line);
+    if (const std::uint64_t *pending = wpq.pendingValue(line))
+        return *pending;
     return media.read(line);
 }
 

@@ -5,14 +5,18 @@
  * Tracks, per line, the token of the most recent write that actually
  * reached the media. This is the state a crash preserves (together
  * with whatever the ADR domain flushes) and the state the recovery
- * checker inspects.
+ * checker inspects. Lines live in a FlatMap (sim/flat_map.hh), so a
+ * media write or read is one probe of a flat array; concurrent read()
+ * calls from the permuter's segment workers are safe, as read() never
+ * mutates the table.
  */
 
 #ifndef ASAP_MEM_NVM_CONTENTS_HH
 #define ASAP_MEM_NVM_CONTENTS_HH
 
 #include <cstdint>
-#include <unordered_map>
+
+#include "sim/flat_map.hh"
 
 namespace asap
 {
@@ -32,28 +36,30 @@ class NvmContents
     std::uint64_t
     read(std::uint64_t line) const
     {
-        auto it = lines.find(line);
-        return it == lines.end() ? 0 : it->second;
+        const std::uint64_t *v = lines.find(line);
+        return v ? *v : 0;
     }
 
     /** True once the line has been written at least once. */
     bool
     present(std::uint64_t line) const
     {
-        return lines.count(line) != 0;
+        return lines.find(line) != nullptr;
     }
 
-    /** All line values (for the recovery checker). */
-    const std::unordered_map<std::uint64_t, std::uint64_t> &
-    all() const
+    /**
+     * Call @p f(line, value) for every written line, in no particular
+     * order (crash verdicts count the surviving non-zero lines).
+     */
+    template <typename F>
+    void
+    forEach(F &&f) const
     {
-        return lines;
+        lines.forEach(f);
     }
-
-    void clear() { lines.clear(); }
 
   private:
-    std::unordered_map<std::uint64_t, std::uint64_t> lines;
+    FlatMap<std::uint64_t> lines;
 };
 
 } // namespace asap

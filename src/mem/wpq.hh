@@ -9,10 +9,10 @@
  * which is one of ASAP's write-endurance wins (Section VII-A).
  *
  * Implementation: a fixed ring buffer sized at construction. The
- * queue is hardware-small (16 entries by default), so lookups are a
- * linear scan over a contiguous array — cheaper in practice than the
- * hash-map-over-deque it replaces, and the steady-state insert/pop
- * path performs no allocation at all.
+ * queue is hardware-small (16 entries by default), so a lookup is a
+ * linear scan over a contiguous array, stepping its index with a
+ * compare-and-reset rather than a modulo, and the steady-state
+ * insert/pop path performs no allocation at all.
  */
 
 #ifndef ASAP_MEM_WPQ_HH
@@ -61,7 +61,7 @@ class Wpq
         }
         if (count >= cap)
             return Insert::Full;
-        Entry &e = ring[(head + count) % ring.size()];
+        Entry &e = ring[wrap(head + count)];
         e.line = line;
         e.value = value;
         e.extraLatency = extra_latency;
@@ -77,11 +77,12 @@ class Wpq
         return const_cast<Wpq *>(this)->find(line) != nullptr;
     }
 
-    /** Pending value for @p line (precondition: contains(line)). */
-    std::uint64_t
+    /** Pending value for @p line, or nullptr if none is pending. */
+    const std::uint64_t *
     pendingValue(std::uint64_t line) const
     {
-        return const_cast<Wpq *>(this)->find(line)->value;
+        const Entry *e = const_cast<Wpq *>(this)->find(line);
+        return e ? &e->value : nullptr;
     }
 
     /** Oldest entry still pending (precondition: !empty()). */
@@ -104,7 +105,7 @@ class Wpq
     void
     pop()
     {
-        head = (head + 1) % ring.size();
+        head = wrap(head + 1);
         --count;
     }
 
@@ -124,7 +125,7 @@ class Wpq
         std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
         out.reserve(count);
         for (std::size_t i = 0; i < count; ++i) {
-            const Entry &e = ring[(head + i) % ring.size()];
+            const Entry &e = ring[wrap(head + i)];
             out.emplace_back(e.line, e.value);
         }
         return out;
@@ -134,12 +135,7 @@ class Wpq
     std::vector<std::pair<std::uint64_t, std::uint64_t>>
     drainAll()
     {
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-        out.reserve(count);
-        for (std::size_t i = 0; i < count; ++i) {
-            const Entry &e = ring[(head + i) % ring.size()];
-            out.emplace_back(e.line, e.value);
-        }
+        auto out = entries();
         head = 0;
         count = 0;
         return out;
@@ -154,13 +150,22 @@ class Wpq
         std::uint64_t insertTick = 0;
     };
 
+    /** Ring index of position @p i, for i < 2 * ring.size(). */
+    std::size_t
+    wrap(std::size_t i) const
+    {
+        return i < ring.size() ? i : i - ring.size();
+    }
+
     Entry *
     find(std::uint64_t line)
     {
-        for (std::size_t i = 0; i < count; ++i) {
-            Entry &e = ring[(head + i) % ring.size()];
-            if (e.line == line)
-                return &e;
+        std::size_t i = head;
+        for (std::size_t n = 0; n < count; ++n) {
+            if (ring[i].line == line)
+                return &ring[i];
+            if (++i == ring.size())
+                i = 0;
         }
         return nullptr;
     }

@@ -32,11 +32,18 @@ EpochTable::setCommittableHook(CommittableHook hook)
 EpochTable::Entry *
 EpochTable::findMut(std::uint64_t ts)
 {
-    for (Entry &e : entries) {
-        if (e.ts == ts)
-            return &e;
-    }
-    return nullptr;
+    // In-flight timestamps are consecutive (closeEpoch numbers epochs
+    // in order, markCommitted removes only the front), so ts indexes
+    // the deque directly; ts below the front wraps past size().
+    if (entries.empty())
+        return nullptr;
+    const std::uint64_t idx = ts - entries.front().ts;
+    if (idx >= entries.size())
+        return nullptr;
+    Entry &e = entries[idx];
+    panic_if(e.ts != ts, "epoch table out of order: slot for ", ts,
+             " holds ", e.ts);
+    return &e;
 }
 
 const EpochTable::Entry *

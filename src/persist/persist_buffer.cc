@@ -25,7 +25,6 @@ PersistBuffer::PersistBuffer(std::uint16_t thread, const SimConfig &cfg,
       stCyclesStalled(&stats.counter("pb.cyclesStalled"))
 {
     inflightLines.reserve(cfg.pbMaxInflight);
-    earlierLines.reserve(cfg.pbEntries);
 }
 
 void
@@ -44,26 +43,6 @@ PersistBuffer::accountOccupancy()
     if (now > lastOccChange)
         occDist->sample(occupancy(), now - lastOccChange);
     lastOccChange = now;
-}
-
-void
-PersistBuffer::accountBlocked()
-{
-    const Tick now = eq.now();
-    if (wasBlocked && now > lastBlockedCheck) {
-        *stCyclesBlockedAgg += now - lastBlockedCheck;
-        *stCyclesBlocked += now - lastBlockedCheck;
-    }
-    lastBlockedCheck = now;
-    bool any_flushable = false;
-    for (const PbEntry &e : queued) {
-        FlushMode m = classify(e.epoch);
-        if (m == FlushMode::Safe || (m == FlushMode::Early && !e.nacked)) {
-            any_flushable = true;
-            break;
-        }
-    }
-    wasBlocked = !queued.empty() && !any_flushable;
 }
 
 void
@@ -105,44 +84,63 @@ PersistBuffer::tryFlush()
 {
     if (crashed)
         return;
-    accountBlocked();
-    while (numInflight < cfg.pbMaxInflight) {
-        // Oldest flushable entry first; same-line flushes stay in
-        // order (a line with an earlier queued or in-flight entry is
-        // held back) so the recovery table sees same-line values in
-        // write order.
-        std::size_t idx = queued.size();
-        earlierLines.clear();
-        for (std::size_t i = 0; i < queued.size(); ++i) {
-            const PbEntry &e = queued[i];
-            const bool line_blocked =
-                std::find(earlierLines.begin(), earlierLines.end(),
-                          e.line) != earlierLines.end() ||
-                std::find(inflightLines.begin(), inflightLines.end(),
-                          e.line) != inflightLines.end();
-            earlierLines.push_back(e.line);
-            if (line_blocked)
-                continue;
-            FlushMode m = classify(e.epoch);
-            if (m == FlushMode::Safe ||
-                (m == FlushMode::Early && !e.nacked)) {
-                idx = i;
-                break;
-            }
-        }
-        if (idx == queued.size())
-            break;
-        dispatch(idx);
+    // Cycles since the last call were blocked if that call left the
+    // buffer holding only entries it may not flush.
+    const Tick now = eq.now();
+    if (wasBlocked && now > lastBlockedCheck) {
+        *stCyclesBlockedAgg += now - lastBlockedCheck;
+        *stCyclesBlocked += now - lastBlockedCheck;
     }
-    accountBlocked();
+    lastBlockedCheck = now;
+
+    // Dispatching changes no epoch state, so an epoch's class holds
+    // for the whole call; a queue holds its epochs in runs, so keeping
+    // the last answer classifies each epoch about once per scan.
+    std::uint64_t knownEpoch = ~std::uint64_t{0}; // no epoch has this ts
+    FlushMode knownMode = FlushMode::Hold;
+    auto flushable = [&](const PbEntry &e) {
+        if (e.epoch != knownEpoch) {
+            knownEpoch = e.epoch;
+            knownMode = classify(e.epoch);
+        }
+        return knownMode == FlushMode::Safe ||
+               (knownMode == FlushMode::Early && !e.nacked);
+    };
+    // Same-line flushes stay in order: a line with an earlier queued or
+    // in-flight entry is held back, so the recovery table sees
+    // same-line values in write order.
+    auto lineBlocked = [&](std::size_t i) {
+        const std::uint64_t line = queued[i].line;
+        const auto end = queued.begin() + static_cast<std::ptrdiff_t>(i);
+        return std::any_of(queued.begin(), end,
+                           [line](const PbEntry &e) {
+                               return e.line == line;
+                           }) ||
+               std::find(inflightLines.begin(), inflightLines.end(),
+                         line) != inflightLines.end();
+    };
+
+    // Oldest flushable entry first. An entry passed over stays passed
+    // over for the rest of the call (its class is fixed, and whatever
+    // blocks its line is still queued or now in flight), so each
+    // search resumes at the slot the last dispatch emptied.
+    std::size_t i = 0;
+    while (numInflight < cfg.pbMaxInflight) {
+        while (i < queued.size() &&
+               (!flushable(queued[i]) || lineBlocked(i)))
+            ++i;
+        if (i == queued.size())
+            break;
+        dispatch(i, knownMode == FlushMode::Early);
+    }
+    wasBlocked = !queued.empty() &&
+                 std::none_of(queued.begin(), queued.end(), flushable);
 }
 
 void
-PersistBuffer::dispatch(std::size_t idx)
+PersistBuffer::dispatch(std::size_t idx, bool early)
 {
     PbEntry entry = queued[idx];
-    const FlushMode mode = classify(entry.epoch);
-    const bool early = (mode == FlushMode::Early);
     queued.erase(queued.begin() + static_cast<std::ptrdiff_t>(idx));
     ++numInflight;
     inflightLines.push_back(entry.line);

@@ -96,9 +96,9 @@ class PersistBuffer
     };
 
     void tryFlush();
-    void dispatch(std::size_t idx);
+    /** Send queued[@p idx] to its controller, @p early or safe. */
+    void dispatch(std::size_t idx, bool early);
     void accountOccupancy();
-    void accountBlocked();
 
     std::uint16_t thread;
     const SimConfig &cfg;
@@ -126,13 +126,12 @@ class PersistBuffer
      *  bounded by pbMaxInflight, far below hash-map break-even. */
     std::vector<std::uint64_t> inflightLines;
     std::deque<StalledStore> stalledStores;
-    /** Reused earlier-lines scratch for tryFlush (the per-call
-     *  unordered_set it replaces dominated the flush-scan profile). */
-    std::vector<std::uint64_t> earlierLines;
     std::uint64_t totalEnqueued = 0;
     std::uint64_t totalAcked = 0;
 
-    // Time-weighted occupancy and blocked-cycle accounting.
+    // Time-weighted occupancy and blocked-cycle accounting: the buffer
+    // is blocked while it holds entries none of which may flush
+    // (recomputed at the end of every tryFlush).
     Tick lastOccChange = 0;
     Tick lastBlockedCheck = 0;
     bool wasBlocked = false;

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <vector>
+
 #include "coherence/cache_array.hh"
 #include "coherence/cache_hierarchy.hh"
 #include "sim/log.hh"
@@ -21,28 +25,44 @@ namespace
 TEST(CacheArray, MissThenHit)
 {
     CacheArray arr(4, 2);
-    EXPECT_FALSE(arr.access(100, false));
-    arr.insert(100, false);
-    EXPECT_TRUE(arr.access(100, false));
+    CacheArray::Victim v;
+    EXPECT_FALSE(arr.probe(100, false, true, v)); // miss allocates
+    EXPECT_FALSE(v.valid);
+    EXPECT_TRUE(arr.probe(100, false, true, v));
 }
 
 TEST(CacheArray, LruEvictsOldest)
 {
     CacheArray arr(1, 2); // one set, two ways
-    arr.insert(1, false);
-    arr.insert(2, false);
-    arr.access(1, false); // 2 becomes LRU
-    CacheArray::Victim v = arr.insert(3, false);
+    CacheArray::Victim v;
+    arr.probe(1, false, true, v);
+    arr.probe(2, false, true, v);
+    arr.probe(1, false, true, v); // 2 becomes LRU
+    EXPECT_FALSE(arr.probe(3, false, true, v));
     EXPECT_TRUE(v.valid);
     EXPECT_EQ(v.line, 2u);
+}
+
+TEST(CacheArray, HitWithoutRefreshKeepsLruAndDirtyBit)
+{
+    CacheArray arr(1, 2);
+    CacheArray::Victim v;
+    arr.probe(1, false, true, v);
+    arr.probe(2, false, true, v);
+    EXPECT_TRUE(arr.probe(1, true, false, v)); // 1 stays LRU, clean
+    EXPECT_FALSE(arr.probe(3, false, true, v));
+    EXPECT_TRUE(v.valid);
+    EXPECT_EQ(v.line, 1u);
+    EXPECT_FALSE(v.dirty);
 }
 
 TEST(CacheArray, DirtyTracking)
 {
     CacheArray arr(1, 1);
-    arr.insert(5, false);
-    arr.access(5, true); // write marks dirty
-    CacheArray::Victim v = arr.insert(6, false);
+    CacheArray::Victim v;
+    arr.probe(5, false, true, v);
+    arr.probe(5, true, true, v); // write marks dirty
+    EXPECT_FALSE(arr.probe(6, false, true, v));
     EXPECT_TRUE(v.valid);
     EXPECT_TRUE(v.dirty);
 }
@@ -50,31 +70,191 @@ TEST(CacheArray, DirtyTracking)
 TEST(CacheArray, CleanClearsDirty)
 {
     CacheArray arr(1, 1);
-    arr.insert(5, true);
+    CacheArray::Victim v;
+    arr.probe(5, true, true, v); // write miss allocates dirty
     arr.clean(5);
-    CacheArray::Victim v = arr.insert(6, false);
+    EXPECT_FALSE(arr.probe(6, false, true, v));
+    EXPECT_TRUE(v.valid);
     EXPECT_FALSE(v.dirty);
 }
 
 TEST(CacheArray, InvalidateRemoves)
 {
     CacheArray arr(2, 2);
-    arr.insert(4, false);
+    CacheArray::Victim v;
+    arr.probe(4, false, true, v);
     arr.invalidate(4);
-    EXPECT_FALSE(arr.contains(4));
     EXPECT_EQ(arr.population(), 0u);
+    EXPECT_FALSE(arr.probe(4, false, false, v));
+    EXPECT_FALSE(v.valid);
 }
 
 TEST(CacheArray, SetsAreIndependent)
 {
     CacheArray arr(2, 1);
-    arr.insert(0, false); // set 0
-    arr.insert(1, false); // set 1
-    EXPECT_TRUE(arr.contains(0));
-    EXPECT_TRUE(arr.contains(1));
-    arr.insert(2, false); // set 0 again: evicts 0, not 1
-    EXPECT_FALSE(arr.contains(0));
-    EXPECT_TRUE(arr.contains(1));
+    CacheArray::Victim v;
+    arr.probe(0, false, true, v); // set 0
+    arr.probe(1, false, true, v); // set 1
+    EXPECT_EQ(arr.population(), 2u);
+    EXPECT_FALSE(arr.probe(2, false, true, v)); // set 0 again: evicts 0
+    EXPECT_TRUE(v.valid);
+    EXPECT_EQ(v.line, 0u);
+    EXPECT_TRUE(arr.probe(1, false, false, v)); // 1 untouched
+}
+
+TEST(CacheArrayDeath, SetCountMustBeAPowerOfTwo)
+{
+    EXPECT_EXIT(CacheArray(6, 2), ::testing::ExitedWithCode(1),
+                "power of two");
+    EXPECT_EXIT(CacheArray(0, 2), ::testing::ExitedWithCode(1),
+                "sets and ways");
+}
+
+/**
+ * The tag array as it was before probe(): three calls per level
+ * (access, contains, insert), 24-byte entries, modulo set index.
+ * Reference for the differential test below.
+ */
+class RefCacheArray
+{
+  public:
+    RefCacheArray(unsigned sets, unsigned ways)
+        : numSets(sets), numWays(ways), entries(sets * ways)
+    {
+    }
+
+    bool
+    access(std::uint64_t line, bool is_write)
+    {
+        Entry *e = find(line);
+        if (!e)
+            return false;
+        e->lastUse = ++useClock;
+        e->dirty = e->dirty || is_write;
+        return true;
+    }
+
+    bool contains(std::uint64_t line) { return find(line) != nullptr; }
+
+    CacheArray::Victim
+    insert(std::uint64_t line, bool dirty)
+    {
+        Entry *base = &entries[(line % numSets) * numWays];
+        Entry *lru = nullptr;
+        for (unsigned w = 0; w < numWays; ++w) {
+            Entry &e = base[w];
+            if (!e.valid) {
+                e = Entry{true, dirty, line, ++useClock};
+                return CacheArray::Victim{};
+            }
+            if (!lru || e.lastUse < lru->lastUse)
+                lru = &e;
+        }
+        CacheArray::Victim v{true, lru->line, lru->dirty};
+        *lru = Entry{true, dirty, line, ++useClock};
+        return v;
+    }
+
+    void
+    invalidate(std::uint64_t line)
+    {
+        if (Entry *e = find(line))
+            e->valid = false;
+    }
+
+    void
+    clean(std::uint64_t line)
+    {
+        if (Entry *e = find(line))
+            e->dirty = false;
+    }
+
+    std::size_t
+    population() const
+    {
+        std::size_t n = 0;
+        for (const Entry &e : entries)
+            n += e.valid ? 1 : 0;
+        return n;
+    }
+
+  private:
+    struct Entry
+    {
+        bool valid = false;
+        bool dirty = false;
+        std::uint64_t line = 0;
+        std::uint64_t lastUse = 0;
+    };
+
+    Entry *
+    find(std::uint64_t line)
+    {
+        Entry *base = &entries[(line % numSets) * numWays];
+        for (unsigned w = 0; w < numWays; ++w) {
+            if (base[w].valid && base[w].line == line)
+                return &base[w];
+        }
+        return nullptr;
+    }
+
+    unsigned numSets;
+    unsigned numWays;
+    std::vector<Entry> entries;
+    std::uint64_t useClock = 0;
+};
+
+TEST(CacheArray, ProbeMatchesAccessContainsInsertReference)
+{
+    // CacheHierarchy::access used to run access() (only where its walk
+    // reached), then contains(), then insert() on a miss, per level.
+    // probe() must give the same hit, victim and dirty bit at every
+    // step, with clean/invalidate (coherence downgrades) mixed in.
+    std::mt19937_64 rng(20);
+    std::size_t evictions = 0;
+    for (unsigned sets : {1u, 2u, 4u, 8u}) {
+        for (unsigned ways = 1; ways <= 4; ++ways) {
+            CacheArray arr(sets, ways);
+            RefCacheArray ref(sets, ways);
+            const std::uint64_t lines = 3 * sets * ways;
+            for (int step = 0; step < 3000; ++step) {
+                const std::uint64_t line = rng() % lines;
+                const unsigned op = rng() % 10;
+                if (op == 0) {
+                    arr.clean(line);
+                    ref.clean(line);
+                } else if (op == 1) {
+                    arr.invalidate(line);
+                    ref.invalidate(line);
+                } else {
+                    const bool is_write = rng() % 2;
+                    const bool refresh = rng() % 4 != 0;
+                    const bool want_hit = refresh
+                                              ? ref.access(line, is_write)
+                                              : ref.contains(line);
+                    CacheArray::Victim want;
+                    if (!ref.contains(line))
+                        want = ref.insert(line, is_write);
+                    CacheArray::Victim got;
+                    const bool hit =
+                        arr.probe(line, is_write, refresh, got);
+                    ASSERT_EQ(hit, want_hit)
+                        << sets << "x" << ways << " step " << step;
+                    ASSERT_EQ(got.valid, want.valid)
+                        << sets << "x" << ways << " step " << step;
+                    if (want.valid) {
+                        ASSERT_EQ(got.line, want.line)
+                            << sets << "x" << ways << " step " << step;
+                        ASSERT_EQ(got.dirty, want.dirty)
+                            << sets << "x" << ways << " step " << step;
+                        ++evictions;
+                    }
+                }
+                ASSERT_EQ(arr.population(), ref.population());
+            }
+        }
+    }
+    EXPECT_GT(evictions, 10000u);
 }
 
 // -------------------------------------------------------- cache hierarchy

@@ -158,7 +158,9 @@ TEST(CoreReplay, CrashBeforeStartLeavesMediaEmpty)
     System sys(cfg);
     sys.loadTrace(rec.finish());
     sys.crashAt(0);
-    EXPECT_TRUE(sys.nvm().all().empty());
+    std::size_t lines = 0;
+    sys.nvm().forEach([&lines](std::uint64_t, std::uint64_t) { ++lines; });
+    EXPECT_EQ(lines, 0u);
 }
 
 TEST(CoreReplay, MaxRunTicksReportsFailure)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/runner.hh"
+#include "harness/system.hh"
 #include "pm/recorder.hh"
 #include "sim/log.hh"
 #include "workloads/synthetic.hh"
@@ -15,6 +16,16 @@ namespace asap
 {
 namespace
 {
+
+TEST(SystemDeath, LlcSetCountMustBeAPowerOfTwo)
+{
+    // The tag arrays index sets with a mask, so a set count that is
+    // not a power of two would fold lines onto the wrong sets.
+    SimConfig cfg;
+    cfg.llcSets = 1000;
+    EXPECT_EXIT(System sys(cfg), ::testing::ExitedWithCode(1),
+                "power of two, not 1000");
+}
 
 TEST(Runner, FillsAllFigureFields)
 {

@@ -329,7 +329,12 @@ TEST(PerfProperties, FinalMediaStateAgreesAcrossModels)
             ASSERT_TRUE(sys.run());
             // eADR persists the remainder only on a power event.
             sys.crashAt(maxTick - 1);
-            finals.push_back(sys.nvm().all());
+            std::unordered_map<std::uint64_t, std::uint64_t> media;
+            sys.nvm().forEach([&media](std::uint64_t line,
+                                       std::uint64_t value) {
+                media[line] = value;
+            });
+            finals.push_back(std::move(media));
         }
         for (std::size_t m = 1; m < finals.size(); ++m) {
             EXPECT_EQ(finals[m].size(), finals[0].size()) << name;

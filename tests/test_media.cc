@@ -362,6 +362,85 @@ TEST_F(MediaTest, SkiplistCrashVerdictsPinned)
     EXPECT_EQ(pinnedCsv(cr.sweep), expected);
 }
 
+/**
+ * Outputs pinned under eviction pressure. At Table II sizes a 30-op
+ * run never evicts from the 16 MB LLC or the 4096-line XPBuffer, so
+ * the rows above would pass with any victim choice. Here every cache
+ * level, the XPBuffer, the WPQ and the recovery table are a few
+ * entries deep (`asap_run queue model=asap` with these knobs at its
+ * default 200 ops: 906 dirty LLC evictions, 241 of them Bloom-delayed,
+ * 1,426 NACKs, 152/345 XPBuffer hits/misses), and the slow-nvm rows
+ * put the xpHits/xpMisses columns in the CSV. Captured before the tag
+ * arrays, the XPBuffer and the directory moved to flat storage.
+ */
+TEST_F(MediaTest, SmallCachesAndXpBufferPinnedUnderEviction)
+{
+    SweepSpec spec;
+    spec.workloads = {"cceh", "queue"};
+    spec.mediaProfiles = {kDefaultMediaProfile, "slow-nvm"};
+    spec.models = {{ModelKind::Baseline, PersistencyModel::Release},
+                   {ModelKind::Hops, PersistencyModel::Release},
+                   {ModelKind::Asap, PersistencyModel::Epoch},
+                   {ModelKind::Asap, PersistencyModel::Release},
+                   {ModelKind::Eadr, PersistencyModel::Release}};
+    spec.params = params30();
+    for (const char *o : {"l1Sets=4", "l2Sets=8", "llcSets=16", "llcWays=2",
+                          "xpBufferLines=8", "wpqEntries=4", "rtEntries=4"})
+        spec.base.override(o);
+
+    ResultCache cache;
+    RunOptions opt;
+    opt.cache = &cache;
+    const std::string expected =
+        "workload,model,persistency,cores,media,seed,opsPerThread,runTicks,"
+        "pmWrites,pmReads,cyclesBlocked,cyclesStalled,dfenceStalled,"
+        "sfenceStalled,entriesInserted,epochs,crossDeps,totSpecWrites,"
+        "totalUndo,totalDelay,nacks,rtMaxOccupancy,pbOccMean,pbOccP99,"
+        "wpqCoalesced,suppressedWrites,xpHits,xpMisses,mediaBytesWritten,"
+        "mediaQueueDelayTicks,mediaBankBusyTicks\n"
+        "cceh,baseline,rp,4,paper-table2,1,30,123987,110,0,0,0,0,14080,0,0,0,"
+        "0,0,0,0,0,0,0,0,0,0,0,7040,0,19800\n"
+        "cceh,hops,rp,4,paper-table2,1,30,120229,117,0,11734,0,2128,0,160,319,"
+        "95,0,0,0,0,0,0.0389773,1,43,0,0,0,7488,0,21060\n"
+        "cceh,asap,ep,4,paper-table2,1,30,119429,142,16,0,0,1060,0,220,572,"
+        "174,24,22,2,0,2,0.029792,1,78,0,6,16,9088,0,25560\n"
+        "cceh,asap,rp,4,paper-table2,1,30,119429,142,13,0,0,1060,0,220,319,95,"
+        "20,19,1,0,2,0.029792,1,78,0,6,13,9088,0,25560\n"
+        "cceh,eadr,rp,4,paper-table2,1,30,119153,114,0,0,0,0,0,0,0,0,0,0,0,0,"
+        "0,0,0,106,0,0,0,7296,0,20520\n"
+        "cceh,baseline,rp,4,slow-nvm,1,30,258887,110,0,0,0,0,14080,0,0,0,0,0,"
+        "0,0,0,0,0,0,0,0,0,7040,0,132000\n"
+        "cceh,hops,rp,4,slow-nvm,1,30,255259,117,0,7238,0,2146,0,201,319,95,0,"
+        "0,0,0,0,0.0190648,1,84,0,0,0,7488,184,140584\n"
+        "cceh,asap,ep,4,slow-nvm,1,30,254459,117,14,0,0,1060,0,220,572,174,23,"
+        "21,2,0,2,0.0139701,1,103,0,6,14,7488,177,140577\n"
+        "cceh,asap,rp,4,slow-nvm,1,30,254459,117,12,0,0,1060,0,220,319,95,20,"
+        "19,1,0,2,0.0139701,1,103,0,6,12,7488,177,140577\n"
+        "cceh,eadr,rp,4,slow-nvm,1,30,254183,112,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"
+        "0,108,0,0,0,7168,183,134583\n"
+        "queue,baseline,rp,4,paper-table2,1,30,79284,376,0,0,0,0,46848,0,0,0,"
+        "0,0,0,0,0,0,0,56,0,0,0,24064,0,67680\n"
+        "queue,hops,rp,4,paper-table2,1,30,87251,401,0,333027,0,72293,0,434,"
+        "609,119,0,0,0,0,0,17.2292,27,33,0,0,0,25664,0,72180\n"
+        "queue,asap,ep,4,paper-table2,1,30,39577,374,65,120788,0,8784,0,475,"
+        "1592,551,396,156,45,193,4,4.82604,10,48,39,78,65,23936,0,67320\n"
+        "queue,asap,rp,4,paper-table2,1,30,43801,368,41,143667,0,32168,0,463,"
+        "609,119,334,111,25,198,4,11.5464,26,44,46,63,41,23552,0,66240\n"
+        "queue,eadr,rp,4,paper-table2,1,30,32440,390,0,0,0,0,0,0,0,0,0,0,0,0,"
+        "0,0,0,291,0,0,0,24960,0,70200\n"
+        "queue,baseline,rp,4,slow-nvm,1,30,128819,314,0,0,0,0,93683,0,0,0,0,0,"
+        "0,0,0,0,0,118,0,0,0,20096,0,376800\n"
+        "queue,hops,rp,4,slow-nvm,1,30,128730,312,0,491573,0,109722,0,434,609,"
+        "119,0,0,0,0,0,17.6374,27,122,0,0,0,19968,0,374400\n"
+        "queue,asap,ep,4,slow-nvm,1,30,107424,267,51,371556,0,21284,0,456,"
+        "1592,551,354,130,39,183,4,6.00354,13,131,49,39,51,17088,46,320446\n"
+        "queue,asap,rp,4,slow-nvm,1,30,112086,271,37,410665,0,80446,0,447,609,"
+        "119,272,88,16,168,4,16.3624,27,135,37,23,37,17344,130,325330\n"
+        "queue,eadr,rp,4,slow-nvm,1,30,35140,273,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"
+        "0,408,0,0,0,17472,2,327602\n";
+    EXPECT_EQ(pinnedCsv(runSweep(spec, opt)), expected);
+}
+
 TEST_F(MediaTest, DistinctProfilesYieldDistinctJobKeys)
 {
     std::vector<std::string> keys;

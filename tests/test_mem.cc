@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <list>
+#include <random>
+#include <unordered_map>
+
 #include "mem/address_map.hh"
 #include "mem/memory_controller.hh"
 #include "mem/nvm_contents.hh"
@@ -79,7 +84,8 @@ TEST(Wpq, CoalescesSameLine)
     w.insert(7, 100);
     EXPECT_EQ(w.insert(7, 200), Wpq::Insert::Coalesced);
     EXPECT_EQ(w.size(), 1u);
-    EXPECT_EQ(w.pendingValue(7), 200u);
+    ASSERT_NE(w.pendingValue(7), nullptr);
+    EXPECT_EQ(*w.pendingValue(7), 200u);
 }
 
 TEST(Wpq, FullRejects)
@@ -124,7 +130,7 @@ TEST(Wpq, PointerStabilityUnderChurn)
             w.pop();
         w.insert(i % 24, i);
         if (w.contains(i % 24)) {
-            EXPECT_EQ(w.pendingValue(i % 24), i);
+            EXPECT_EQ(*w.pendingValue(i % 24), i);
         }
     }
 }
@@ -166,6 +172,62 @@ TEST(XpBuffer, ZeroCapacityNeverHits)
     XpBuffer xp(0);
     xp.touch(1);
     EXPECT_FALSE(xp.hit(1));
+}
+
+/** The XPBuffer as it was before the node array: a std::list in
+ *  recency order plus a hash map from line to list position. */
+class RefXpBuffer
+{
+  public:
+    explicit RefXpBuffer(unsigned capacity) : cap(capacity) {}
+
+    void
+    touch(std::uint64_t line)
+    {
+        if (cap == 0)
+            return;
+        auto it = index.find(line);
+        if (it != index.end()) {
+            lru.erase(it->second);
+        } else if (lru.size() >= cap) {
+            index.erase(lru.back());
+            lru.pop_back();
+        }
+        lru.push_front(line);
+        index[line] = lru.begin();
+    }
+
+    bool hit(std::uint64_t line) const { return index.count(line) != 0; }
+    std::size_t size() const { return lru.size(); }
+
+  private:
+    unsigned cap;
+    std::list<std::uint64_t> lru;
+    std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
+        index;
+};
+
+TEST(XpBuffer, MatchesListAndMapReference)
+{
+    std::mt19937_64 rng(7);
+    for (unsigned cap : {0u, 1u, 2u, 7u, 64u}) {
+        XpBuffer xp(cap);
+        RefXpBuffer ref(cap);
+        // Lines from a range twice the capacity (plus a few), skewed
+        // towards its low end so recent lines come back before and
+        // after they are evicted.
+        const std::uint64_t lines = 2 * cap + 3;
+        for (int step = 0; step < 4000; ++step) {
+            const std::uint64_t line =
+                rng() % 2 ? rng() % lines : rng() % (cap / 2 + 1);
+            xp.touch(line);
+            ref.touch(line);
+            ASSERT_EQ(xp.size(), ref.size()) << cap << " step " << step;
+            for (std::uint64_t l = 0; l < lines; ++l)
+                ASSERT_EQ(xp.hit(l), ref.hit(l))
+                    << cap << " step " << step << " line " << l;
+        }
+    }
 }
 
 // ---------------------------------------------------------- nvm contents

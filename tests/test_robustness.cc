@@ -1,8 +1,9 @@
 /**
  * @file
- * Robustness sweeps: pathological configurations (tiny buffers,
- * single banks, one or many controllers, line-grained interleave)
- * must still run to completion and, under ASAP, crash consistently.
+ * Robustness sweeps: pathological configurations (tiny buffers and
+ * caches, single banks, one or many controllers, line-grained
+ * interleave) must still run to completion and, under ASAP, crash
+ * consistently.
  * Plus trace serialization round-trips and replay equivalence.
  */
 
@@ -84,7 +85,9 @@ INSTANTIATE_TEST_SUITE_P(
         ConfigCase{"noCombine", "wpqCombineWindow=0", nullptr},
         ConfigCase{"slowNvm", "pmWriteLatency=720", nullptr},
         ConfigCase{"noXpBuffer", "xpBufferLines=0", nullptr},
-        ConfigCase{"eightCores", "numCores=8", nullptr}),
+        ConfigCase{"eightCores", "numCores=8", nullptr},
+        ConfigCase{"tinyLlc", "llcSets=16", "llcWays=2"},
+        ConfigCase{"tinyXpBuffer", "xpBufferLines=2", nullptr}),
     [](const ::testing::TestParamInfo<ConfigCase> &info) {
         return info.param.name;
     });

@@ -1,15 +1,20 @@
 /**
  * @file
  * Unit tests for the simulation kernel: event queue, RNG, stats,
- * configuration.
+ * configuration, and the flat hash map of the memory system.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_map.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/ticks.hh"
@@ -309,6 +314,147 @@ TEST(ConfigDeath, MissingEqualsIsFatal)
 {
     SimConfig cfg;
     EXPECT_DEATH(cfg.override("numCores"), "key=value");
+}
+
+TEST(ConfigDeath, TrailingCharactersAreFatal)
+{
+    SimConfig cfg;
+    EXPECT_EXIT(cfg.override("llcSets=16k"), ::testing::ExitedWithCode(1),
+                "llcSets.*16k");
+    EXPECT_EXIT(cfg.override("mediaWriteGBps=2.5GB"),
+                ::testing::ExitedWithCode(1), "mediaWriteGBps");
+}
+
+TEST(ConfigDeath, ValueWiderThanItsFieldIsFatal)
+{
+    SimConfig cfg;
+    // 2^32 + 16: wrapped into the 32-bit field it would read 16.
+    EXPECT_EXIT(cfg.override("llcSets=4294967312"),
+                ::testing::ExitedWithCode(1), "llcSets");
+    EXPECT_EXIT(cfg.override("seed=18446744073709551616"),
+                ::testing::ExitedWithCode(1), "seed");
+    EXPECT_EXIT(cfg.override("mediaWriteGBps=1e999"),
+                ::testing::ExitedWithCode(1), "mediaWriteGBps");
+}
+
+TEST(ConfigDeath, NegativeOrEmptyValueIsFatal)
+{
+    SimConfig cfg;
+    EXPECT_EXIT(cfg.override("llcSets=-1"), ::testing::ExitedWithCode(1),
+                "llcSets");
+    EXPECT_EXIT(cfg.override("llcSets="), ::testing::ExitedWithCode(1),
+                "llcSets");
+    EXPECT_EXIT(cfg.override("llcSets= 16"), ::testing::ExitedWithCode(1),
+                "llcSets");
+    EXPECT_EXIT(cfg.override("mediaWriteGBps=-1"),
+                ::testing::ExitedWithCode(1), "mediaWriteGBps");
+    EXPECT_EXIT(cfg.override("mediaWriteGBps=nan"),
+                ::testing::ExitedWithCode(1), "mediaWriteGBps");
+    EXPECT_EXIT(cfg.override("mediaWriteGBps="),
+                ::testing::ExitedWithCode(1), "mediaWriteGBps");
+}
+
+TEST(Config, OverrideAcceptsEveryValueThatFits)
+{
+    SimConfig cfg;
+    cfg.override("llcSets=0x40");
+    EXPECT_EQ(cfg.llcSets, 64u);
+    cfg.override("llcSets=4294967295");
+    EXPECT_EQ(cfg.llcSets, 4294967295u);
+    cfg.override("seed=18446744073709551615");
+    EXPECT_EQ(cfg.seed, 18446744073709551615ull);
+    cfg.override("mediaWriteGBps=.5");
+    EXPECT_DOUBLE_EQ(cfg.mediaWriteGBps, 0.5);
+    cfg.override("mediaWriteGBps=0");
+    EXPECT_DOUBLE_EQ(cfg.mediaWriteGBps, 0.0);
+}
+
+// -------------------------------------------------------------- flat map
+
+/** Keys whose home slot in a table of @p slots is one of the last
+ *  two: they collide with each other and their probe runs wrap
+ *  around the end of the table. */
+std::vector<std::uint64_t>
+wrappingKeys(std::size_t slots, std::size_t n)
+{
+    std::vector<std::uint64_t> out;
+    for (std::uint64_t k = 1; out.size() < n; ++k) {
+        if ((FlatMap<int>::hash(k) & (slots - 1)) >= slots - 2)
+            out.push_back(k);
+    }
+    return out;
+}
+
+TEST(FlatMap, MatchesUnorderedMapReference)
+{
+    // A seeded mix of insert, assign, find, erase and clear against
+    // std::unordered_map, from a pool of keys that collide and wrap at
+    // every table size the map grows through, plus random 64-bit keys.
+    std::vector<std::uint64_t> pool;
+    for (std::size_t slots = FlatMap<int>::kMinSlots; slots <= 1024;
+         slots *= 2) {
+        for (std::uint64_t k : wrappingKeys(slots, 24))
+            pool.push_back(k);
+    }
+    std::mt19937_64 rng(99);
+    for (int i = 0; i < 300; ++i)
+        pool.push_back(rng() >> 1); // never ~0
+
+    FlatMap<std::uint64_t> map;
+    std::unordered_map<std::uint64_t, std::uint64_t> ref;
+    std::size_t maxCapacity = 0;
+    for (int step = 0; step < 60000; ++step) {
+        const std::uint64_t key = pool[rng() % pool.size()];
+        const unsigned op = rng() % 100;
+        if (op < 45) {
+            const std::uint64_t value = rng();
+            map[key] = value;
+            ref[key] = value;
+        } else if (op < 60) {
+            ++map[key]; // read-modify-write, inserting 0 first if absent
+            ++ref[key];
+        } else if (op < 85) {
+            const std::uint64_t *got = map.find(key);
+            auto it = ref.find(key);
+            ASSERT_EQ(got != nullptr, it != ref.end()) << "step " << step;
+            if (got) {
+                ASSERT_EQ(*got, it->second) << "step " << step;
+            }
+        } else {
+            ASSERT_EQ(map.erase(key), ref.erase(key) == 1)
+                << "step " << step;
+        }
+        if (step % 20000 == 19999) {
+            map.clear();
+            ref.clear();
+        }
+        ASSERT_EQ(map.size(), ref.size()) << "step " << step;
+        maxCapacity = std::max(maxCapacity, map.capacity());
+        if (step % 500 == 0) {
+            std::size_t seen = 0;
+            map.forEach([&](std::uint64_t k, std::uint64_t v) {
+                ++seen;
+                auto it = ref.find(k);
+                ASSERT_NE(it, ref.end()) << "step " << step;
+                EXPECT_EQ(v, it->second) << "step " << step;
+            });
+            ASSERT_EQ(seen, ref.size()) << "step " << step;
+            for (const auto &[k, v] : ref) {
+                const std::uint64_t *got = map.find(k);
+                ASSERT_NE(got, nullptr) << "step " << step;
+                EXPECT_EQ(*got, v);
+            }
+        }
+        // Load never exceeds 3/4 of the slots.
+        ASSERT_LE(map.size() * 4, map.capacity() * 3);
+    }
+    EXPECT_GE(maxCapacity, 512u) << "the sequence must grow the table";
+}
+
+TEST(FlatMapDeath, EmptyKeyCannotBeStored)
+{
+    FlatMap<int> map;
+    EXPECT_DEATH(map[FlatMap<int>::kEmptyKey] = 1, "~0");
 }
 
 TEST(Config, ModelNames)
