@@ -103,6 +103,19 @@ status_of() {
 [ "$(status_of "$TMP/fault.txt" "$BUILD/bench/crash_permute" \
     --ops 100 --ticks 6 --workload queue --models asap_rp \
     --inject-fault drop-undo)" -eq 1 ]
+
+# Engine parity on inconsistent states: the naive engine and the
+# parallel path must print the same verdicts, first-bad states and
+# messages as the default run (rate column stripped as above).
+for engine_args in "--engine naive" "--permute-jobs 8"; do
+    read -r -a EXTRA <<< "$engine_args"
+    [ "$(status_of "$TMP/fault_alt.txt" "$BUILD/bench/crash_permute" \
+        --ops 100 --ticks 6 --workload queue --models asap_rp \
+        --inject-fault drop-undo "${EXTRA[@]}")" -eq 1 ]
+    diff <(strip_rate < "$TMP/fault.txt") \
+        <(strip_rate < "$TMP/fault_alt.txt")
+done
+
 REPRO="$(sed -n 's#^  repro: build/##p' "$TMP/fault.txt" | head -n 1)"
 MASK="${REPRO##* --state }"
 read -r -a ARGS <<< "$REPRO"

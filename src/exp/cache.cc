@@ -80,7 +80,6 @@ describeJob(const ExperimentJob &job)
        << "hopsPollPeriod=" << c.hopsPollPeriod << '\n'
        << "hopsPollCost=" << c.hopsPollCost << '\n'
        << "eadrDfenceCost=" << c.eadrDfenceCost << '\n'
-       << "coreIssueWidth=" << c.coreIssueWidth << '\n'
        << "seed=" << c.seed << '\n'
        << "maxRunTicks=" << c.maxRunTicks << '\n'
        << "opsPerThread=" << p.opsPerThread << '\n'

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <optional>
 #include <unordered_set>
 
 #include "sim/log.hh"
@@ -391,7 +392,7 @@ void
 runSegment(const MaskPlan &plan, std::uint64_t lo, std::uint64_t hi,
            const std::vector<LineEffect> &effects,
            const std::vector<std::vector<std::uint32_t>> &inv,
-           const CheckerIndex &index, const CheckScope &scope,
+           const CheckerIndex &index, const CheckScope *scope,
            const NvmContents &nvm,
            const std::vector<std::uint64_t> &committed_up_to,
            SegmentResult &out)
@@ -402,7 +403,7 @@ runSegment(const MaskPlan &plan, std::uint64_t lo, std::uint64_t hi,
 
     const std::size_t ne = effects.size();
     std::vector<std::uint64_t> cur(ne);
-    std::unordered_map<std::uint64_t, std::uint64_t> overlay;
+    NvmView::Overlay overlay;
     overlay.reserve(ne);
     std::uint64_t fp = 0;
 
@@ -425,13 +426,13 @@ runSegment(const MaskPlan &plan, std::uint64_t lo, std::uint64_t hi,
         ++out.checked;
         std::int64_t slot = out.memo.find(fp);
         if (slot < 0) {
-            // Distinct-image miss. The scope proves most consistent
-            // states in O(effects); anything it cannot prove (or any
-            // failure, for the canonical message) goes to the full
-            // check — the overlay is only read there, so patch it to
-            // match cur[] on that path alone.
-            bool ok = scope.usable() &&
-                      scope.consistent(cur, scopeScratch);
+            // Distinct-image miss. The scope (when there is one)
+            // proves most consistent states in O(effects); anything it
+            // cannot prove (or any failure, for the canonical message)
+            // goes to the full check — the overlay is only read there,
+            // so patch it to match cur[] on that path alone.
+            bool ok = scope && scope->usable() &&
+                      scope->consistent(cur, scopeScratch);
             std::string message;
             if (!ok) {
                 for (std::size_t i = 0; i < ne; ++i)
@@ -531,12 +532,18 @@ runIncremental(const MaskPlan &plan,
 
     // Delta-check scope: resolves everything the checker derives from
     // lines outside the effect table once, so each distinct image
-    // costs O(effects) instead of a full log-sized check pass.
-    std::vector<std::uint64_t> varLines;
-    varLines.reserve(effects.size());
-    for (const LineEffect &e : effects)
-        varLines.push_back(e.line);
-    const CheckScope scope(index, nvm, committed_up_to, varLines);
+    // costs O(effects) instead of a full log-sized check pass. A
+    // one-state plan has a single image to check, which the full check
+    // does for less than building the scope would cost.
+    std::optional<CheckScope> scope;
+    if (plan.count > 1) {
+        std::vector<std::uint64_t> varLines;
+        varLines.reserve(effects.size());
+        for (const LineEffect &e : effects)
+            varLines.push_back(e.line);
+        scope.emplace(index, nvm, committed_up_to, varLines);
+    }
+    const CheckScope *scopePtr = scope ? &*scope : nullptr;
 
     unsigned T = threads == 0 ? ThreadPool::defaultThreads() : threads;
     if (static_cast<std::uint64_t>(T) > plan.count)
@@ -546,8 +553,8 @@ runIncremental(const MaskPlan &plan,
 
     std::vector<SegmentResult> segs(T);
     if (T == 1) {
-        runSegment(plan, 0, plan.count, effects, inv, *index, scope, nvm,
-                   committed_up_to, segs[0]);
+        runSegment(plan, 0, plan.count, effects, inv, *index, scopePtr,
+                   nvm, committed_up_to, segs[0]);
     } else {
         ThreadPool pool(T);
         const std::uint64_t base = plan.count / T;
@@ -556,10 +563,10 @@ runIncremental(const MaskPlan &plan,
         for (unsigned t = 0; t < T; ++t) {
             const std::uint64_t hi = lo + base + (t < rem ? 1 : 0);
             SegmentResult *out = &segs[t];
-            pool.submit([&plan, lo, hi, &effects, &inv, &index, &scope, &nvm,
-                         &committed_up_to, out]() {
-                runSegment(plan, lo, hi, effects, inv, *index, scope, nvm,
-                           committed_up_to, *out);
+            pool.submit([&plan, lo, hi, &effects, &inv, &index, scopePtr,
+                         &nvm, &committed_up_to, out]() {
+                runSegment(plan, lo, hi, effects, inv, *index, scopePtr,
+                           nvm, committed_up_to, *out);
             });
             lo = hi;
         }

@@ -3,55 +3,225 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
+#include <limits>
 #include <mutex>
-#include <set>
 #include <sstream>
+#include <utility>
+
+#include "sim/log.hh"
 
 namespace asap
 {
 
+namespace
+{
+
+/** Turn per-id counts in c[1..n] into CSR row starts in place. */
+void
+prefixSum(std::vector<std::uint32_t> &c)
+{
+    for (std::size_t i = 1; i < c.size(); ++i)
+        c[i] += c[i - 1];
+}
+
+} // namespace
+
 CheckerIndex::CheckerIndex(const RunLog &log)
 {
-    // Per line, writes in retirement order (token -> index).
-    for (const RunLog::StoreRecord &s : log.allStores())
-        lineWrites[s.line].push_back(s);
-    for (auto &[line, ws] : lineWrites) {
-        std::sort(ws.begin(), ws.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.seq < b.seq;
-                  });
-        for (std::size_t i = 0; i < ws.size(); ++i) {
-            if (tokenIndex.count(ws[i].value)) {
-                if (buildOk) {
-                    std::ostringstream os;
-                    os << "duplicate store token " << ws[i].value;
-                    buildOk = false;
-                    buildMessage = os.str();
-                }
-                continue;
+    const std::vector<RunLog::StoreRecord> &stores = log.allStores();
+    const std::vector<RunLog::DepEdge> &edges = log.allEdges();
+    panic_if(stores.size() >= std::numeric_limits<std::uint32_t>::max(),
+             "run log too large for the checker's 32-bit ids");
+
+    // --- epoch ids: every epoch that wrote or appears in an edge, in
+    // (thread, ts) order. A thread's stores mostly repeat its current
+    // epoch, so a per-thread memo of the last one skips the repeats
+    // (and, below, the id lookups).
+    struct Memo
+    {
+        bool valid = false;
+        std::uint64_t ts = 0;
+        std::uint32_t id = 0;
+    };
+    std::vector<Memo> memo;
+    using Key = std::pair<std::uint16_t, std::uint64_t>;
+    std::vector<Key> keys;
+    for (const RunLog::StoreRecord &s : stores) {
+        if (s.thread >= memo.size())
+            memo.resize(s.thread + 1u);
+        Memo &m = memo[s.thread];
+        if (m.valid && m.ts == s.epoch)
+            continue;
+        m = {true, s.epoch, 0};
+        keys.emplace_back(s.thread, s.epoch);
+    }
+    for (const RunLog::DepEdge &e : edges) {
+        keys.emplace_back(e.thread, e.epoch);
+        keys.emplace_back(e.srcThread, e.srcEpoch);
+    }
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    const std::size_t ne = keys.size();
+    epochThread.resize(ne);
+    epochTs.resize(ne);
+    for (std::size_t e = 0; e < ne; ++e) {
+        epochThread[e] = keys[e].first;
+        epochTs[e] = keys[e].second;
+    }
+    auto epochOf = [&keys](std::uint16_t t, std::uint64_t ts) {
+        return static_cast<std::uint32_t>(
+            std::lower_bound(keys.begin(), keys.end(), Key{t, ts}) -
+            keys.begin());
+    };
+
+    // --- line ids in ascending address order, and each line's write
+    // count (the map holds the count, then the id).
+    FlatMap<std::uint32_t> lineIds;
+    for (const RunLog::StoreRecord &s : stores)
+        ++lineIds[s.line];
+    lineAddr.reserve(lineIds.size());
+    lineIds.forEach([this](std::uint64_t line, std::uint32_t) {
+        lineAddr.push_back(line);
+    });
+    std::sort(lineAddr.begin(), lineAddr.end());
+    const std::size_t nl = lineAddr.size();
+    writeBegin.assign(nl + 1, 0);
+    for (std::uint32_t l = 0; l < nl; ++l) {
+        std::uint32_t &v = *lineIds.find(lineAddr[l]);
+        writeBegin[l + 1] = writeBegin[l] + v;
+        v = l;
+    }
+
+    // --- per-line write lists. RunLog numbers stores in append order,
+    // so log order is retirement (seq) order within every line. The
+    // first store (in log order) repeating an earlier token, or
+    // storing the token ~0 that FlatMap reserves, is a log defect.
+    auto defect = [this](const char *what, std::uint64_t token) {
+        if (!buildOk)
+            return;
+        std::ostringstream os;
+        os << what << ' ' << token;
+        buildOk = false;
+        buildMessage = os.str();
+    };
+    writeEpoch.resize(stores.size());
+    tokens.reserve(stores.size());
+    for (Memo &m : memo)
+        m.valid = false;
+    std::vector<std::uint32_t> cursor(writeBegin.begin(),
+                                      writeBegin.end() - 1);
+    for (const RunLog::StoreRecord &s : stores) {
+        Memo &m = memo[s.thread];
+        if (!m.valid || m.ts != s.epoch)
+            m = {true, s.epoch, epochOf(s.thread, s.epoch)};
+        const std::uint32_t w = cursor[*lineIds.find(s.line)]++;
+        writeEpoch[w] = m.id;
+        if (s.value == FlatMap<std::uint32_t>::kEmptyKey)
+            defect("reserved store token", s.value);
+        else if (tokens.find(s.value))
+            defect("duplicate store token", s.value);
+        else
+            tokens[s.value] = w;
+    }
+
+    // --- per epoch, its last write to each line it wrote (lines come
+    // in ascending id order, so each row is sorted by line).
+    std::vector<std::uint32_t> seenLine(ne, ~std::uint32_t{0});
+    lastBegin.assign(ne + 1, 0);
+    for (std::uint32_t l = 0; l < nl; ++l) {
+        for (std::uint32_t w = writeBegin[l]; w < writeBegin[l + 1]; ++w) {
+            const std::uint32_t e = writeEpoch[w];
+            if (seenLine[e] != l) {
+                seenLine[e] = l;
+                ++lastBegin[e + 1];
             }
-            tokenIndex[ws[i].value] = {line, i};
+        }
+    }
+    prefixSum(lastBegin);
+    lastWrites.resize(lastBegin[ne]);
+    cursor.assign(lastBegin.begin(), lastBegin.end() - 1);
+    std::fill(seenLine.begin(), seenLine.end(), ~std::uint32_t{0});
+    for (std::uint32_t l = 0; l < nl; ++l) {
+        for (std::uint32_t w = writeBegin[l]; w < writeBegin[l + 1]; ++w) {
+            const std::uint32_t e = writeEpoch[w];
+            const std::uint32_t idx = w - writeBegin[l];
+            if (seenLine[e] != l) {
+                seenLine[e] = l;
+                lastWrites[cursor[e]++] = {l, idx};
+            } else {
+                lastWrites[cursor[e] - 1].idx = idx; // later write wins
+            }
         }
     }
 
-    // Epoch nodes: every epoch that wrote or appears in an edge.
-    for (auto &[line, ws] : lineWrites) {
-        for (std::size_t i = 0; i < ws.size(); ++i) {
-            EpochNode &n = nodes[{ws[i].thread, ws[i].epoch}];
-            n.lastWrite[line] = i; // ascending i: last one sticks
-        }
+    // --- cross-thread parents, in log order.
+    std::vector<std::uint32_t> edgeChild(edges.size());
+    parentBegin.assign(ne + 1, 0);
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+        edgeChild[i] = epochOf(edges[i].thread, edges[i].epoch);
+        ++parentBegin[edgeChild[i] + 1];
     }
-    for (const RunLog::DepEdge &e : log.allEdges()) {
-        nodes[{e.thread, e.epoch}].depParents.push_back(
-            {e.srcThread, e.srcEpoch});
-        nodes.try_emplace({e.srcThread, e.srcEpoch});
+    prefixSum(parentBegin);
+    parents.resize(edges.size());
+    cursor.assign(parentBegin.begin(), parentBegin.end() - 1);
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+        parents[cursor[edgeChild[i]]++] =
+            epochOf(edges[i].srcThread, edges[i].srcEpoch);
     }
 
-    // Per-thread sorted epoch lists for same-thread predecessor walks.
-    for (const auto &[key, node] : nodes)
-        byThread[key.first].push_back(key.second);
-    for (auto &[t, v] : byThread)
-        std::sort(v.begin(), v.end());
+    // --- one topological order (Kahn) over same-thread predecessors
+    // and cross-thread parents; a cycle leaves some epoch unplaced.
+    std::vector<std::uint32_t> childBegin(ne + 1, 0);
+    for (std::uint32_t p : parents)
+        ++childBegin[p + 1];
+    prefixSum(childBegin);
+    std::vector<std::uint32_t> children(parents.size());
+    cursor.assign(childBegin.begin(), childBegin.end() - 1);
+    std::vector<std::uint32_t> indeg(ne);
+    for (std::uint32_t c = 0; c < ne; ++c) {
+        for (std::uint32_t i = parentBegin[c]; i < parentBegin[c + 1]; ++i)
+            children[cursor[parents[i]]++] = c;
+        indeg[c] = (hasPred(c) ? 1 : 0) + parentBegin[c + 1] -
+                   parentBegin[c];
+    }
+    topo.reserve(ne);
+    for (std::uint32_t c = 0; c < ne; ++c) {
+        if (indeg[c] == 0)
+            topo.push_back(c);
+    }
+    auto release = [&](std::uint32_t c) {
+        if (--indeg[c] == 0)
+            topo.push_back(c);
+    };
+    for (std::size_t head = 0; head < topo.size(); ++head) {
+        const std::uint32_t p = topo[head];
+        if (p + 1 < ne && hasPred(p + 1))
+            release(p + 1);
+        for (std::uint32_t i = childBegin[p]; i < childBegin[p + 1]; ++i)
+            release(children[i]);
+    }
+    if (topo.size() != ne)
+        topo.clear(); // dependency cycle: no topological order
+}
+
+std::int64_t
+CheckerIndex::lineId(std::uint64_t addr) const
+{
+    auto it = std::lower_bound(lineAddr.begin(), lineAddr.end(), addr);
+    if (it == lineAddr.end() || *it != addr)
+        return -1;
+    return it - lineAddr.begin();
+}
+
+std::int64_t
+CheckerIndex::survivingIdx(std::uint32_t l, std::uint64_t value) const
+{
+    if (value == 0)
+        return -1;
+    const std::uint32_t *w = tokens.find(value);
+    if (!w || *w < writeBegin[l] || *w >= writeBegin[l + 1])
+        return kAlien;
+    return *w - writeBegin[l];
 }
 
 CheckResult
@@ -70,41 +240,32 @@ CheckerIndex::check(const NvmView &view,
 
     // --- surviving index per line ----------------------------------------
     // -1 means "no recorded write survived" (initial contents).
-    std::unordered_map<std::uint64_t, std::ptrdiff_t> survived;
-    survived.reserve(lineWrites.size());
-    for (const auto &[line, ws] : lineWrites) {
-        const std::uint64_t v = view.read(line);
-        if (v == 0) {
-            survived[line] = -1;
-            continue;
-        }
-        auto it = tokenIndex.find(v);
-        if (it == tokenIndex.end() || it->second.first != line) {
+    const std::uint32_t nl = static_cast<std::uint32_t>(numLines());
+    std::vector<std::int64_t> surv(nl);
+    for (std::uint32_t l = 0; l < nl; ++l) {
+        const std::uint64_t v = view.read(lineAddr[l]);
+        surv[l] = survivingIdx(l, v);
+        if (surv[l] == kAlien) {
             std::ostringstream os;
-            os << "line " << line << " holds alien value " << v;
+            os << "line " << lineAddr[l] << " holds alien value " << v;
             return fail(os.str());
         }
-        survived[line] =
-            static_cast<std::ptrdiff_t>(it->second.second);
     }
 
     // --- checks ------------------------------------------------------------
     // An epoch is "fully visible" if, for every line it wrote, the
     // surviving write index is >= the epoch's last write index.
-    auto epochVisible = [&](const Key &k, std::string *why) {
-        auto nit = nodes.find(k);
-        if (nit == nodes.end())
-            return true; // wrote nothing
-        for (const auto &[line, idx] : nit->second.lastWrite) {
-            auto sit = survived.find(line);
-            const std::ptrdiff_t got =
-                sit == survived.end() ? -1 : sit->second;
-            if (got < static_cast<std::ptrdiff_t>(idx)) {
+    auto epochVisible = [&](std::uint32_t e, std::string *why) {
+        for (std::uint32_t i = lastBegin[e]; i < lastBegin[e + 1]; ++i) {
+            const LastWrite &lw = lastWrites[i];
+            if (surv[lw.line] < static_cast<std::int64_t>(lw.idx)) {
                 if (why) {
                     std::ostringstream os;
-                    os << "epoch (t" << k.first << ",e" << k.second
-                       << ") write idx " << idx << " to line " << line
-                       << " not durable (surviving idx " << got << ")";
+                    os << "epoch (t" << epochThread[e] << ",e"
+                       << epochTs[e] << ") write idx " << lw.idx
+                       << " to line " << lineAddr[lw.line]
+                       << " not durable (surviving idx "
+                       << surv[lw.line] << ")";
                     *why = os.str();
                 }
                 return false;
@@ -113,81 +274,66 @@ CheckerIndex::check(const NvmView &view,
         return true;
     };
 
-    // Walk ancestors of a seed epoch, verifying visibility of every
-    // strict ancestor. The verified set depends on `survived`, so it
-    // is per-check scratch — never shared across states.
-    std::set<Key> verified;
-    auto verifyAncestors = [&](Key seed, std::string *why) {
-        std::vector<Key> work;
-        auto push_parents = [&](const Key &k) {
-            // Same-thread predecessor (largest logged ts < k.ts).
-            auto bit = byThread.find(k.first);
-            if (bit != byThread.end()) {
-                const auto &v = bit->second;
-                auto it = std::lower_bound(v.begin(), v.end(), k.second);
-                if (it != v.begin())
-                    work.push_back({k.first, *std::prev(it)});
-            }
-            // Cross-thread parents attached exactly to k.
-            auto nit = nodes.find(k);
-            if (nit != nodes.end()) {
-                for (const Key &p : nit->second.depParents)
-                    work.push_back(p);
-            }
-        };
-        push_parents(seed);
+    // Walk ancestors of a seed epoch (LIFO: same-thread predecessor,
+    // then cross-thread parents), verifying visibility of every strict
+    // ancestor. The visited set depends on `surv`, so it is per-check
+    // scratch — never shared across states.
+    std::vector<std::uint8_t> visited(numEpochs(), 0);
+    std::vector<std::uint32_t> work;
+    auto pushParents = [&](std::uint32_t e) {
+        if (hasPred(e))
+            work.push_back(e - 1);
+        for (std::uint32_t i = parentBegin[e]; i < parentBegin[e + 1]; ++i)
+            work.push_back(parents[i]);
+    };
+    auto verifyAncestors = [&](std::uint32_t seed, std::string *why) {
+        work.clear();
+        pushParents(seed);
         while (!work.empty()) {
-            Key k = work.back();
+            const std::uint32_t e = work.back();
             work.pop_back();
-            if (verified.count(k))
+            if (visited[e])
                 continue;
-            verified.insert(k);
-            if (!epochVisible(k, why))
+            visited[e] = 1;
+            if (!epochVisible(e, why))
                 return false;
-            push_parents(k);
+            pushParents(e);
         }
         return true;
     };
 
     // Check 1: prefix closure for every surviving value's epoch.
-    for (const auto &[line, idx] : survived) {
-        if (idx < 0)
+    for (std::uint32_t l = 0; l < nl; ++l) {
+        if (surv[l] < 0)
             continue;
-        const RunLog::StoreRecord &w =
-            lineWrites.at(line)[static_cast<std::size_t>(idx)];
+        const std::uint32_t e = writeEpoch[writeBegin[l] + surv[l]];
         std::string why;
-        if (!verifyAncestors({w.thread, w.epoch}, &why)) {
+        if (!verifyAncestors(e, &why)) {
             std::ostringstream os;
-            os << "surviving value on line " << line << " (epoch t"
-               << w.thread << ",e" << w.epoch
+            os << "surviving value on line " << lineAddr[l] << " (epoch t"
+               << epochThread[e] << ",e" << epochTs[e]
                << ") has a non-durable ancestor: " << why;
             return fail(os.str());
         }
     }
 
     // Check 2: committed epochs are fully durable, including their
-    // ancestors.
-    for (std::uint16_t t = 0;
-         t < static_cast<std::uint16_t>(committed_up_to.size()); ++t) {
-        auto bit = byThread.find(t);
-        if (bit == byThread.end())
+    // ancestors. Ids run in (thread, ts) order.
+    for (std::uint32_t e = 0; e < numEpochs(); ++e) {
+        if (!committed(e, committed_up_to))
             continue;
-        for (std::uint64_t ts : bit->second) {
-            if (ts > committed_up_to[t])
-                break;
-            std::string why;
-            if (!epochVisible({t, ts}, &why)) {
-                std::ostringstream os;
-                os << "committed epoch (t" << t << ",e" << ts
-                   << ") lost a write: " << why;
-                return fail(os.str());
-            }
-            if (!verifyAncestors({t, ts}, &why)) {
-                std::ostringstream os;
-                os << "committed epoch (t" << t << ",e" << ts
-                   << ") has a non-durable ancestor: " << why;
-                return fail(os.str());
-            }
+        std::string why;
+        if (!epochVisible(e, &why)) {
+            std::ostringstream os;
+            os << "committed epoch (t" << epochThread[e] << ",e"
+               << epochTs[e] << ") lost a write: " << why;
+            return fail(os.str());
+        }
+        if (!verifyAncestors(e, &why)) {
+            std::ostringstream os;
+            os << "committed epoch (t" << epochThread[e] << ",e"
+               << epochTs[e] << ") has a non-durable ancestor: " << why;
+            return fail(os.str());
         }
     }
 
@@ -200,7 +346,6 @@ CheckScope::CheckScope(std::shared_ptr<const CheckerIndex> index,
                        const std::vector<std::uint64_t> &variable_lines)
     : index_(std::move(index))
 {
-    using Key = CheckerIndex::Key;
     const CheckerIndex &ix = *index_;
     if (!ix.buildOk) {
         // Every check fails with the build message; the full-check
@@ -210,199 +355,154 @@ CheckScope::CheckScope(std::shared_ptr<const CheckerIndex> index,
         return;
     }
 
-    // Slot table. Duplicate variable lines would make "the value of
-    // line L" ambiguous — bail rather than guess.
-    std::unordered_map<std::uint64_t, std::uint32_t> varSlot;
-    slots_.resize(variable_lines.size());
-    for (std::size_t i = 0; i < variable_lines.size(); ++i) {
-        slots_[i].line = variable_lines[i];
-        slots_[i].logged = ix.lineWrites.count(variable_lines[i]) != 0;
-        if (!varSlot
-                 .emplace(variable_lines[i],
-                          static_cast<std::uint32_t>(i))
-                 .second) {
+    // Duplicate variable lines would make "the value of line L"
+    // ambiguous — bail rather than guess.
+    {
+        std::vector<std::uint64_t> sorted(variable_lines);
+        std::sort(sorted.begin(), sorted.end());
+        if (std::adjacent_find(sorted.begin(), sorted.end()) !=
+            sorted.end())
             return;
+    }
+
+    // Slot table: variable line -> line id, and back.
+    const std::uint32_t nl = static_cast<std::uint32_t>(ix.numLines());
+    const std::uint32_t ne = static_cast<std::uint32_t>(ix.numEpochs());
+    const std::size_t ns = variable_lines.size();
+    std::vector<std::int64_t> slotOf(nl, -1);
+    slotLine_.assign(ns, kUnlogged);
+    slotSeed_.assign(ns, 0);
+    for (std::size_t i = 0; i < ns; ++i) {
+        const std::int64_t l = ix.lineId(variable_lines[i]);
+        if (l >= 0) {
+            slotLine_[i] = static_cast<std::uint32_t>(l);
+            slotOf[l] = static_cast<std::int64_t>(i);
         }
     }
 
     // Base surviving index per fixed line. A fixed alien value fails
     // every state, whatever the variable lines hold.
-    std::unordered_map<std::uint64_t, std::ptrdiff_t> survBase;
-    survBase.reserve(ix.lineWrites.size());
-    for (const auto &[line, ws] : ix.lineWrites) {
-        (void)ws;
-        if (varSlot.count(line))
+    std::vector<std::int64_t> survBase(nl, -1);
+    for (std::uint32_t l = 0; l < nl; ++l) {
+        if (slotOf[l] >= 0)
             continue;
-        const std::uint64_t v = base.read(line);
-        if (v == 0) {
-            survBase[line] = -1;
-            continue;
-        }
-        auto it = ix.tokenIndex.find(v);
-        if (it == ix.tokenIndex.end() || it->second.first != line) {
+        survBase[l] = ix.survivingIdx(l, base.read(ix.lineAddr[l]));
+        if (survBase[l] == CheckerIndex::kAlien) {
             constantFail_ = true;
             usable_ = true;
             return;
         }
-        survBase[line] =
-            static_cast<std::ptrdiff_t>(it->second.second);
     }
 
-    // Variable epochs, in deterministic (thread, epoch) order.
-    std::map<Key, std::uint32_t> varEpochId;
-    for (const auto &[k, node] : ix.nodes) {
-        for (const auto &[line, idx] : node.lastWrite) {
-            (void)idx;
-            if (varSlot.count(line)) {
-                varEpochId.emplace(k, 0);
-                break;
+    // Variable epochs (those writing a variable line), bit-numbered in
+    // epoch id order.
+    std::vector<std::int32_t> varBit(ne, -1);
+    for (std::uint32_t l : slotLine_) {
+        if (l == kUnlogged)
+            continue;
+        for (std::uint32_t w = ix.writeBegin[l]; w < ix.writeBegin[l + 1];
+             ++w)
+            varBit[ix.writeEpoch[w]] = 0;
+    }
+    std::int32_t nv = 0;
+    for (std::int32_t &b : varBit) {
+        if (b < 0)
+            continue;
+        if (nv == 64)
+            return;
+        b = nv++;
+    }
+    auto bitOf = [&varBit](std::uint32_t e) {
+        return varBit[e] < 0 ? std::uint64_t{0} : 1ULL << varBit[e];
+    };
+
+    // Per variable epoch, its writes to variable lines (needs) and
+    // whether a fixed line already lost one of its writes; per fixed
+    // epoch, base visibility.
+    needBegin_.assign(static_cast<std::size_t>(nv) + 1, 0);
+    std::vector<std::uint8_t> visBase(ne, 1);
+    for (std::uint32_t e = 0; e < ne; ++e) {
+        for (std::uint32_t i = ix.lastBegin[e]; i < ix.lastBegin[e + 1];
+             ++i) {
+            const CheckerIndex::LastWrite &lw = ix.lastWrites[i];
+            if (slotOf[lw.line] >= 0) {
+                needs_.push_back(
+                    {static_cast<std::uint32_t>(slotOf[lw.line]), lw.idx});
+            } else if (survBase[lw.line] <
+                       static_cast<std::int64_t>(lw.idx)) {
+                neverVisible_ |= bitOf(e);
+                visBase[e] = 0;
             }
         }
+        if (varBit[e] >= 0)
+            needBegin_[varBit[e] + 1] =
+                static_cast<std::uint32_t>(needs_.size());
     }
-    if (varEpochId.size() > 64)
-        return;
-    {
-        std::uint32_t next = 0;
-        for (auto &[k, id] : varEpochId) {
-            (void)k;
-            id = next++;
-        }
-    }
-    varEpochs_.resize(varEpochId.size());
-    for (const auto &[k, id] : varEpochId) {
-        VarEpoch &ve = varEpochs_[id];
-        for (const auto &[line, idx] : ix.nodes.at(k).lastWrite) {
-            auto vs = varSlot.find(line);
-            if (vs != varSlot.end()) {
-                ve.need.push_back({vs->second, idx});
-            } else if (survBase.at(line) <
-                       static_cast<std::ptrdiff_t>(idx)) {
-                ve.neverVisible = true;
-            }
-        }
-    }
+    auto badFixed = [&](std::uint32_t e) {
+        return varBit[e] < 0 && !visBase[e];
+    };
 
-    // Dense node ids (std::map order: deterministic), parent lists,
-    // and base visibility of every fixed epoch.
-    std::map<Key, std::uint32_t> nodeId;
-    for (const auto &[k, node] : ix.nodes) {
-        (void)node;
-        nodeId.emplace(k, static_cast<std::uint32_t>(nodeId.size()));
-    }
-    const std::size_t nn = nodeId.size();
-    std::vector<std::vector<std::uint32_t>> parents(nn);
-    std::vector<bool> visBase(nn, true);
-    std::vector<std::uint64_t> varBit(nn, 0);
-    for (const auto &[k, id] : nodeId) {
-        const CheckerIndex::EpochNode &node = ix.nodes.at(k);
-        auto bit = ix.byThread.find(k.first);
-        if (bit != ix.byThread.end()) {
-            const auto &v = bit->second;
-            auto it =
-                std::lower_bound(v.begin(), v.end(), k.second);
-            if (it != v.begin())
-                parents[id].push_back(
-                    nodeId.at({k.first, *std::prev(it)}));
-        }
-        for (const Key &p : node.depParents)
-            parents[id].push_back(nodeId.at(p));
+    if (ix.topo.size() != ne)
+        return; // dependency cycle: no safe topological order
 
-        auto vit = varEpochId.find(k);
-        if (vit != varEpochId.end()) {
-            varBit[id] = 1ULL << vit->second;
-        } else {
-            for (const auto &[line, idx] : node.lastWrite) {
-                if (survBase.at(line) <
-                    static_cast<std::ptrdiff_t>(idx)) {
-                    visBase[id] = false;
-                    break;
-                }
-            }
-        }
-    }
-
-    // One topological pass propagates, per node, whether a strict
+    // One pass in topological order gives, per epoch, whether a strict
     // ancestor is a non-visible fixed epoch (ancBad) and which
     // variable epochs are strict ancestors (anc mask).
-    std::vector<std::vector<std::uint32_t>> children(nn);
-    for (std::uint32_t c = 0; c < nn; ++c) {
-        for (std::uint32_t p : parents[c])
-            children[p].push_back(c);
+    std::vector<std::uint64_t> anc(ne, 0);
+    std::vector<std::uint8_t> ancBad(ne, 0);
+    for (const std::uint32_t e : ix.topo) {
+        std::uint64_t a = 0;
+        bool bad = false;
+        auto pull = [&](std::uint32_t p) {
+            a |= anc[p] | bitOf(p);
+            bad = bad || ancBad[p] || badFixed(p);
+        };
+        if (ix.hasPred(e))
+            pull(e - 1);
+        for (std::uint32_t i = ix.parentBegin[e]; i < ix.parentBegin[e + 1];
+             ++i)
+            pull(ix.parents[i]);
+        anc[e] = a;
+        ancBad[e] = bad;
     }
-    std::vector<std::uint32_t> indeg(nn, 0);
-    for (std::uint32_t c = 0; c < nn; ++c)
-        indeg[c] = static_cast<std::uint32_t>(parents[c].size());
-    std::vector<std::uint32_t> queue;
-    queue.reserve(nn);
-    for (std::uint32_t c = 0; c < nn; ++c) {
-        if (indeg[c] == 0)
-            queue.push_back(c);
-    }
-    std::vector<std::uint64_t> anc(nn, 0);
-    std::vector<bool> ancBad(nn, false);
-    std::size_t head = 0;
-    while (head < queue.size()) {
-        const std::uint32_t p = queue[head++];
-        for (std::uint32_t c : children[p]) {
-            anc[c] |= anc[p] | varBit[p];
-            if (ancBad[p] || (varBit[p] == 0 && !visBase[p]))
-                ancBad[c] = true;
-            if (--indeg[c] == 0)
-                queue.push_back(c);
-        }
-    }
-    if (head != nn)
-        return; // dependency cycle: no safe topological order
 
     // Static fail sources: committed epochs (Check 2) and fixed
     // lines' surviving epochs (Check 1). A fixed violation is a
     // constant fail; variable ancestors accumulate into the mask of
     // epochs every consistent state must keep visible.
-    for (std::uint16_t t = 0;
-         t < static_cast<std::uint16_t>(committed_up_to.size()); ++t) {
-        auto bit = ix.byThread.find(t);
-        if (bit == ix.byThread.end())
+    for (std::uint32_t e = 0; e < ne; ++e) {
+        if (!ix.committed(e, committed_up_to))
             continue;
-        for (std::uint64_t ts : bit->second) {
-            if (ts > committed_up_to[t])
-                break;
-            const std::uint32_t id = nodeId.at({t, ts});
-            if (ancBad[id] || (varBit[id] == 0 && !visBase[id])) {
-                constantFail_ = true;
-                usable_ = true;
-                return;
-            }
-            staticBadMask_ |= anc[id] | varBit[id];
-        }
-    }
-    for (const auto &[line, ws] : ix.lineWrites) {
-        if (varSlot.count(line))
-            continue;
-        const std::ptrdiff_t idx = survBase.at(line);
-        if (idx < 0)
-            continue;
-        const RunLog::StoreRecord &w =
-            ws[static_cast<std::size_t>(idx)];
-        const std::uint32_t id = nodeId.at({w.thread, w.epoch});
-        if (ancBad[id]) {
+        if (ancBad[e] || badFixed(e)) {
             constantFail_ = true;
             usable_ = true;
             return;
         }
-        staticBadMask_ |= anc[id];
+        staticBadMask_ |= anc[e] | bitOf(e);
+    }
+    for (std::uint32_t l = 0; l < nl; ++l) {
+        if (slotOf[l] >= 0 || survBase[l] < 0)
+            continue;
+        const std::uint32_t e = ix.writeEpoch[ix.writeBegin[l] + survBase[l]];
+        if (ancBad[e]) {
+            constantFail_ = true;
+            usable_ = true;
+            return;
+        }
+        staticBadMask_ |= anc[e];
     }
 
     // Per-slot seed tables: ancestor facts for every write that can
     // survive on a variable line.
-    for (Slot &s : slots_) {
-        if (!s.logged)
+    for (std::size_t i = 0; i < ns; ++i) {
+        const std::uint32_t l = slotLine_[i];
+        if (l == kUnlogged)
             continue;
-        const auto &ws = ix.lineWrites.at(s.line);
-        s.seed.resize(ws.size());
-        for (std::size_t i = 0; i < ws.size(); ++i) {
-            const std::uint32_t id =
-                nodeId.at({ws[i].thread, ws[i].epoch});
-            s.seed[i] = {ancBad[id], anc[id]};
+        slotSeed_[i] = static_cast<std::uint32_t>(seeds_.size());
+        for (std::uint32_t w = ix.writeBegin[l]; w < ix.writeBegin[l + 1];
+             ++w) {
+            const std::uint32_t e = ix.writeEpoch[w];
+            seeds_.push_back({ancBad[e] != 0, anc[e]});
         }
     }
     usable_ = true;
@@ -418,38 +518,28 @@ CheckScope::consistent(const std::vector<std::uint64_t> &values,
 
     // Surviving write index per variable line (alien value: not
     // fast-provable, let the full check produce the message).
-    scratch.surv.assign(slots_.size(), -1);
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-        if (!slots_[i].logged)
+    const std::size_t ns = slotLine_.size();
+    scratch.surv.assign(ns, -1);
+    for (std::size_t i = 0; i < ns; ++i) {
+        if (slotLine_[i] == kUnlogged)
             continue; // the checker never reads this line
-        const std::uint64_t v = values[i];
-        if (v == 0)
-            continue;
-        auto it = ix.tokenIndex.find(v);
-        if (it == ix.tokenIndex.end() ||
-            it->second.first != slots_[i].line) {
+        scratch.surv[i] = ix.survivingIdx(slotLine_[i], values[i]);
+        if (scratch.surv[i] == CheckerIndex::kAlien)
             return false;
-        }
-        scratch.surv[i] =
-            static_cast<std::ptrdiff_t>(it->second.second);
     }
 
     // Visibility of the variable epochs under this state.
-    std::uint64_t notVisible = 0;
-    for (std::size_t b = 0; b < varEpochs_.size(); ++b) {
-        const VarEpoch &ve = varEpochs_[b];
-        bool vis = !ve.neverVisible;
-        if (vis) {
-            for (const auto &[slot, idx] : ve.need) {
-                if (scratch.surv[slot] <
-                    static_cast<std::ptrdiff_t>(idx)) {
-                    vis = false;
-                    break;
-                }
+    std::uint64_t notVisible = neverVisible_;
+    for (std::size_t b = 0; b + 1 < needBegin_.size(); ++b) {
+        if (notVisible >> b & 1)
+            continue;
+        for (std::uint32_t i = needBegin_[b]; i < needBegin_[b + 1]; ++i) {
+            const Need &n = needs_[i];
+            if (scratch.surv[n.slot] < static_cast<std::int64_t>(n.idx)) {
+                notVisible |= 1ULL << b;
+                break;
             }
         }
-        if (!vis)
-            notVisible |= 1ULL << b;
     }
 
     // Check 2 (+ Check 1 for fixed lines): a committed epoch, or a
@@ -460,12 +550,11 @@ CheckScope::consistent(const std::vector<std::uint64_t> &values,
 
     // Check 1 for variable lines: the surviving value's epoch has a
     // non-durable strict ancestor.
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-        const std::ptrdiff_t idx = scratch.surv[i];
+    for (std::size_t i = 0; i < ns; ++i) {
+        const std::int64_t idx = scratch.surv[i];
         if (idx < 0)
             continue;
-        const SeedInfo &s =
-            slots_[i].seed[static_cast<std::size_t>(idx)];
+        const SeedInfo &s = seeds_[slotSeed_[i] + idx];
         if (s.ancBadFixed || (s.varAncMask & notVisible))
             return false;
     }
@@ -478,7 +567,7 @@ checkCrashConsistency(const RunLog &log, const NvmContents &nvm,
 {
     // Deliberately unmemoised: this is the one-shot path (and the
     // permuter's naive baseline engine) — it pays the full index build
-    // per call, exactly as before CheckerIndex existed.
+    // per call.
     CheckerIndex index(log);
     return index.check(NvmView(nvm), committed_up_to);
 }
@@ -486,9 +575,10 @@ checkCrashConsistency(const RunLog &log, const NvmContents &nvm,
 namespace
 {
 
-/** 128-bit content hash of a RunLog: two independent FNV-1a streams
- *  over every store and edge field. The index is a pure function of
- *  this content, so the hash is a safe memo key. */
+/** 128-bit content hash of a RunLog: two independent multiply-xorshift
+ *  streams over every store and edge field, a word at a time. The
+ *  index is a pure function of this content, so the hash is a safe
+ *  memo key. */
 struct LogFingerprint
 {
     std::uint64_t a = 14695981039346656037ULL;
@@ -497,13 +587,10 @@ struct LogFingerprint
     void
     mix(std::uint64_t v)
     {
-        constexpr std::uint64_t kPrimeA = 1099511628211ULL;
-        constexpr std::uint64_t kPrimeB = 0x100000001b3ULL ^ 0x9e37;
-        for (unsigned i = 0; i < 8; ++i) {
-            const std::uint64_t byte = (v >> (i * 8)) & 0xff;
-            a = (a ^ byte) * kPrimeA;
-            b = (b ^ (byte + 0x9e)) * kPrimeB;
-        }
+        a = (a ^ v) * 0x9e3779b97f4a7c15ULL;
+        a ^= a >> 32;
+        b = (b + v) * 0xbf58476d1ce4e5b9ULL;
+        b ^= b >> 29;
     }
 
     bool

@@ -17,13 +17,26 @@
  *     initial value or a token some recorded store actually wrote to
  *     that line.
  *
- * The log-derived part of the check (per-line sorted write lists, the
+ * The log-derived part of the check (per-line write lists, the
  * store-token index, the epoch dependency graph) depends only on the
  * RunLog, not on the NVM state under test. CheckerIndex captures it as
- * a build-once structure so callers checking many states against one
- * log — the crash-state permuter above all — index once and pay only
- * the per-state phase per check. checkCrashConsistency stays as the
- * one-shot wrapper.
+ * a build-once structure on dense ids, so callers checking many states
+ * against one log — the crash-state permuter above all — index once
+ * and pay only the per-state phase per check. checkCrashConsistency
+ * stays as the one-shot wrapper.
+ *
+ * Message order. The verdict (ok or not) is a predicate over the
+ * state and does not depend on traversal order; the witness a failing
+ * verdict's message names does, and follows a fixed order: an alien
+ * value names the lowest-addressed alien line; a prefix-closure
+ * violation names the lowest-addressed surviving line whose epoch has
+ * a non-durable ancestor; a committed-durability violation names the
+ * first committed epoch in (thread, ts) order; and an epoch that lost
+ * several writes names the lowest-addressed line among them. Which
+ * ancestor a prefix-closure message names follows the ancestor walk:
+ * LIFO over (same-thread predecessor, then cross-thread parents in log
+ * order), one visited set per check, surviving lines in ascending
+ * address order before committed epochs.
  */
 
 #ifndef ASAP_RECOVERY_CHECKER_HH
@@ -31,14 +44,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/nvm_contents.hh"
 #include "recovery/run_log.hh"
+#include "sim/flat_map.hh"
 
 namespace asap
 {
@@ -63,10 +75,10 @@ struct CheckResult
 class NvmView
 {
   public:
+    using Overlay = FlatMap<std::uint64_t>;
+
     explicit NvmView(const NvmContents &base) : base_(&base) {}
-    NvmView(const NvmContents &base,
-            const std::unordered_map<std::uint64_t, std::uint64_t>
-                &overlay)
+    NvmView(const NvmContents &base, const Overlay &overlay)
         : base_(&base), overlay_(&overlay)
     {
     }
@@ -76,29 +88,31 @@ class NvmView
     read(std::uint64_t line) const
     {
         if (overlay_) {
-            auto it = overlay_->find(line);
-            if (it != overlay_->end())
-                return it->second;
+            if (const std::uint64_t *v = overlay_->find(line))
+                return *v;
         }
         return base_->read(line);
     }
 
   private:
     const NvmContents *base_;
-    const std::unordered_map<std::uint64_t, std::uint64_t> *overlay_ =
-        nullptr;
+    const Overlay *overlay_ = nullptr;
 };
 
 /**
  * Build-once index of a RunLog for repeated consistency checks.
  *
- * Construction does every log-shaped part of the check: sorts each
- * line's writes into retirement order, indexes store tokens (flagging
- * duplicates), and assembles the epoch dependency graph. check() then
- * runs only the state-shaped part — surviving-write resolution and
- * the prefix-closure / committed-durability walks — against any
- * NvmView. check() is const and allocates only per-call scratch, so
- * one index may serve many threads concurrently.
+ * Construction numbers everything once: epochs in (thread, ts) order,
+ * so an epoch's same-thread predecessor is the id before it; logged
+ * lines in ascending address order. Each line's writes (in retirement
+ * order), each epoch's last write per line and each epoch's
+ * cross-thread parents (in log order) are CSR arrays over those ids,
+ * store tokens map to write positions in a FlatMap, and one
+ * topological order of the dependency graph is kept (or a cycle
+ * flag). check() then runs only the state-shaped part — surviving-
+ * write resolution and the prefix-closure / committed-durability
+ * walks — against any NvmView. check() is const and allocates only
+ * per-call scratch, so one index may serve many threads concurrently.
  */
 class CheckerIndex
 {
@@ -111,32 +125,67 @@ class CheckerIndex
           const std::vector<std::uint64_t> &committed_up_to) const;
 
   private:
-    /** Ordered epoch key: (thread, epoch timestamp). */
-    using Key = std::pair<std::uint16_t, std::uint64_t>;
-
-    struct EpochNode
+    /** An epoch's last write to one line. */
+    struct LastWrite
     {
-        /** Per-line index (into that line's write list) of this
-         *  epoch's last write to the line. */
-        std::unordered_map<std::uint64_t, std::size_t> lastWrite;
-        /** Direct cross-thread parents. */
-        std::vector<Key> depParents;
+        std::uint32_t line; //!< line id
+        std::uint32_t idx;  //!< index into that line's write list
     };
 
-    /** Per line, writes in retirement order. */
-    std::unordered_map<std::uint64_t, std::vector<RunLog::StoreRecord>>
-        lineWrites;
-    /** token -> (line, index into that line's write list). */
-    std::unordered_map<std::uint64_t,
-                       std::pair<std::uint64_t, std::size_t>>
-        tokenIndex;
-    /** Every epoch that wrote or appears in an edge. */
-    std::map<Key, EpochNode> nodes;
-    /** Per-thread sorted epoch lists for predecessor walks. */
-    std::unordered_map<std::uint16_t, std::vector<std::uint64_t>>
-        byThread;
-    /** Log defect found at build time (duplicate store token); every
-     *  check() fails with it. */
+    std::size_t numEpochs() const { return epochTs.size(); }
+    std::size_t numLines() const { return lineAddr.size(); }
+
+    /** True when epoch @p e - 1 runs on @p e's thread (its
+     *  same-thread predecessor). */
+    bool
+    hasPred(std::uint32_t e) const
+    {
+        return e > 0 && epochThread[e - 1] == epochThread[e];
+    }
+
+    /** True when epoch @p e is at or below its thread's committed
+     *  frontier (threads past the frontier vector commit nothing). */
+    bool
+    committed(std::uint32_t e,
+              const std::vector<std::uint64_t> &committed_up_to) const
+    {
+        const std::uint16_t t = epochThread[e];
+        return t < committed_up_to.size() &&
+               epochTs[e] <= committed_up_to[t];
+    }
+
+    /** Id of logged line @p addr, or -1. */
+    std::int64_t lineId(std::uint64_t addr) const;
+
+    /** survivingIdx() of a value no store wrote to the line. */
+    static constexpr std::int64_t kAlien = -2;
+
+    /** Index within line @p l's writes of the write that stored
+     *  @p value there; -1 for the initial value 0, kAlien for a value
+     *  no store wrote to that line. */
+    std::int64_t survivingIdx(std::uint32_t l, std::uint64_t value) const;
+
+    /** Per epoch id, ascending (thread, ts). */
+    std::vector<std::uint16_t> epochThread;
+    std::vector<std::uint64_t> epochTs;
+    /** CSR: epoch -> last write per line, ascending line id. */
+    std::vector<std::uint32_t> lastBegin;
+    std::vector<LastWrite> lastWrites;
+    /** CSR: epoch -> direct cross-thread parents, in log order. */
+    std::vector<std::uint32_t> parentBegin;
+    std::vector<std::uint32_t> parents;
+    /** Per line id, ascending address. */
+    std::vector<std::uint64_t> lineAddr;
+    /** CSR: line -> writes in retirement order; each entry is the
+     *  writing epoch's id. */
+    std::vector<std::uint32_t> writeBegin;
+    std::vector<std::uint32_t> writeEpoch;
+    /** Store token -> write position (index into writeEpoch). */
+    FlatMap<std::uint32_t> tokens;
+    /** Every epoch id, parents before children; empty on a cycle. */
+    std::vector<std::uint32_t> topo;
+    /** Log defect found at build time (a duplicate or reserved store
+     *  token); every check() fails with it. */
     bool buildOk = true;
     std::string buildMessage;
 
@@ -147,16 +196,17 @@ class CheckerIndex
  * Delta-check oracle for many states that differ from one base image
  * only on a known set of *variable lines* (the permuter's effect
  * table). Everything the checker derives from fixed lines is constant
- * across those states, so construction resolves it once:
+ * across those states, so construction resolves it once, on the
+ * index's ids, parents and topological order:
  *
  *  - base surviving-write indices and alien detection for every fixed
  *    line (a fixed-line violation fails every state: constant fail);
  *  - visibility of every epoch that writes no variable line;
- *  - per epoch, via one topological pass over the dependency DAG,
- *    whether a non-visible fixed epoch is a strict ancestor
- *    (constant fail when a committed epoch or fixed surviving value
- *    depends on one) and the bitmask of *variable* epochs — those
- *    writing at least one variable line — among its strict ancestors.
+ *  - per epoch, via one pass over the topological order, whether a
+ *    non-visible fixed epoch is a strict ancestor (constant fail when
+ *    a committed epoch or fixed surviving value depends on one) and
+ *    the bitmask of *variable* epochs — those writing at least one
+ *    variable line — among its strict ancestors.
  *
  * consistent() then answers the boolean verdict in O(variable lines +
  * variable epochs): resolve the surviving index of each variable
@@ -176,7 +226,7 @@ class CheckScope
     /** Per-calling-thread scratch for consistent(). */
     struct Scratch
     {
-        std::vector<std::ptrdiff_t> surv;
+        std::vector<std::int64_t> surv;
     };
 
     CheckScope(std::shared_ptr<const CheckerIndex> index,
@@ -197,37 +247,39 @@ class CheckScope
                     Scratch &scratch) const;
 
   private:
-    /** One epoch writing at least one variable line. */
-    struct VarEpoch
+    /** A variable epoch's last write to a variable line. */
+    struct Need
     {
-        /** A fixed line of the epoch already lost a write on the base
-         *  image: the epoch is invisible in every state. */
-        bool neverVisible = false;
-        /** (variable-line slot, required surviving index) pairs. */
-        std::vector<std::pair<std::uint32_t, std::size_t>> need;
+        std::uint32_t slot; //!< variable-line slot
+        std::uint32_t idx;  //!< required surviving index
     };
 
     /** Ancestor facts of one potential surviving-value epoch. */
     struct SeedInfo
     {
         bool ancBadFixed = false;   //!< strict ancestor: bad fixed epoch
-        std::uint64_t varAncMask = 0; //!< strict ancestors in varEpochs_
+        std::uint64_t varAncMask = 0; //!< strict ancestors in var epochs
     };
 
-    /** One variable line. */
-    struct Slot
-    {
-        std::uint64_t line = 0;
-        bool logged = false; //!< false: checker never reads this line
-        std::vector<SeedInfo> seed; //!< per write index of the line
-    };
+    /** Line id of a variable line the log never wrote (the checker
+     *  never reads it). */
+    static constexpr std::uint32_t kUnlogged = ~std::uint32_t{0};
 
     std::shared_ptr<const CheckerIndex> index_;
     bool usable_ = false;
     /** Some fixed-line/epoch violation holds in every state. */
     bool constantFail_ = false;
-    std::vector<Slot> slots_;
-    std::vector<VarEpoch> varEpochs_;
+    /** Per slot: line id (or kUnlogged) and the start of its seed
+     *  table in seeds_ (one entry per write of the line). */
+    std::vector<std::uint32_t> slotLine_;
+    std::vector<std::uint32_t> slotSeed_;
+    std::vector<SeedInfo> seeds_;
+    /** CSR: variable epoch (bit) -> its writes to variable lines. */
+    std::vector<std::uint32_t> needBegin_;
+    std::vector<Need> needs_;
+    /** Variable epochs with a fixed line that already lost a write on
+     *  the base image: invisible in every state. */
+    std::uint64_t neverVisible_ = 0;
     /** Variable epochs that must be visible in every consistent
      *  state: committed themselves, or a strict ancestor of a
      *  committed epoch or of a fixed surviving value's epoch. */
@@ -236,7 +288,7 @@ class CheckScope
 
 /**
  * Verify post-crash NVM contents against the run log (one-shot: index
- * the log, run one check — exactly the pre-CheckerIndex cost).
+ * the log, run one check).
  *
  * @param log stores and dependency edges recorded during the run
  * @param nvm surviving media contents (post ADR drain + undo rewind)

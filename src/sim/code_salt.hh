@@ -41,8 +41,13 @@ namespace asap
  *  results gained the coverage fields (vStatesChecked &c.). Run and
  *  Crash keys are unchanged, but the bump keeps a v5 reader from
  *  choking on permute entries in a shared cache dir. Trace keys
- *  carry the salt from v6 on. */
-inline constexpr const char *kCodeSalt = "asap-sim-v6";
+ *  carry the salt from v6 on.
+ *
+ *  v7: the dense-id checker names an inconsistent verdict's witness
+ *  in ascending line-address order, so a v6 entry's message can name
+ *  a different line or epoch than v7 computes; job keys also lost the
+ *  unread coreIssueWidth knob. */
+inline constexpr const char *kCodeSalt = "asap-sim-v7";
 
 } // namespace asap
 

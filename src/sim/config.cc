@@ -170,7 +170,6 @@ SimConfig::override(const std::string &assignment)
     else if (key == "hopsPollPeriod") set(hopsPollPeriod);
     else if (key == "hopsPollCost") set(hopsPollCost);
     else if (key == "eadrDfenceCost") set(eadrDfenceCost);
-    else if (key == "coreIssueWidth") set(coreIssueWidth);
     else if (key == "seed") set(seed);
     else if (key == "maxRunTicks") set(maxRunTicks);
     else if (key == "xpBufferLines") set(xpBufferLines);

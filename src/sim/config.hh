@@ -135,9 +135,6 @@ struct SimConfig
     // --- eADR/BBB specifics ----------------------------------------------
     Tick eadrDfenceCost = 4;        //!< residual dfence pipeline cost
 
-    // --- replay core ------------------------------------------------------
-    unsigned coreIssueWidth = 2;    //!< simple-core ops retired per cycle
-
     // --- run control ------------------------------------------------------
     std::uint64_t seed = 42;        //!< deterministic RNG seed
     Tick maxRunTicks = maxTick;     //!< safety stop for runaway runs

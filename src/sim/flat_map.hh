@@ -11,10 +11,10 @@
  * the load past 3/4. Once the table has grown to a run's footprint,
  * lookups, inserts and erases allocate nothing.
  *
- * The key ~0 marks an empty slot, so it cannot be stored; line
- * addresses (byte address / 64) never reach it. Iteration order
- * (forEach) follows the hash, not insertion: callers that need an
- * order must impose one.
+ * The key ~0 marks an empty slot, so it cannot be stored (find() and
+ * erase() treat it as absent); line addresses (byte address / 64)
+ * never reach it. Iteration order (forEach) follows the hash, not
+ * insertion: callers that need an order must impose one.
  */
 
 #ifndef ASAP_SIM_FLAT_MAP_HH
@@ -49,11 +49,11 @@ class FlatMap
         return key ^ (key >> 32);
     }
 
-    /** Value stored under @p key, or nullptr. */
+    /** Value stored under @p key, or nullptr (always for ~0). */
     V *
     find(std::uint64_t key)
     {
-        if (slots.empty())
+        if (slots.empty() || key == kEmptyKey)
             return nullptr;
         for (std::size_t i = hash(key) & mask;; i = (i + 1) & mask) {
             Slot &s = slots[i];
@@ -93,7 +93,7 @@ class FlatMap
     bool
     erase(std::uint64_t key)
     {
-        if (slots.empty())
+        if (slots.empty() || key == kEmptyKey)
             return false;
         std::size_t hole = hash(key) & mask;
         for (; slots[hole].key != key; hole = (hole + 1) & mask) {
@@ -113,6 +113,19 @@ class FlatMap
         slots[hole] = Slot{};
         --count;
         return true;
+    }
+
+    /** Grow the table so @p n entries fit without a further rehash. */
+    void
+    reserve(std::size_t n)
+    {
+        if (n == 0)
+            return;
+        std::size_t want = slots.empty() ? kMinSlots : slots.size();
+        while (n * 4 > want * 3)
+            want *= 2;
+        if (want > slots.size())
+            rehash(want);
     }
 
     /** Drop every entry; the slot array keeps its size. */

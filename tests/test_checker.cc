@@ -175,6 +175,20 @@ TEST_F(CheckerFixture, AlienValueDetected)
     EXPECT_NE(r.message.find("alien"), std::string::npos);
 }
 
+TEST_F(CheckerFixture, AllOnesValueIsAlien)
+{
+    // ~0 is the token index's empty-slot key: a line holding it must
+    // still be reported as alien, not resolved to some logged write.
+    log.recordStore(0, 1, 100, 11);
+    log.recordStore(0, 1, 101, 22);
+    nvm.write(100, 11);
+    nvm.write(101, ~std::uint64_t{0});
+    CheckResult r = check();
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.message,
+              "line 101 holds alien value 18446744073709551615");
+}
+
 TEST_F(CheckerFixture, ValueFromWrongLineDetected)
 {
     log.recordStore(0, 1, 100, 11);
@@ -212,6 +226,17 @@ TEST_F(CheckerFixture, DuplicateTokensRejected)
     CheckResult r = check();
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.message.find("duplicate"), std::string::npos);
+}
+
+TEST_F(CheckerFixture, ReservedTokenRejected)
+{
+    // The token index cannot hold ~0 (FlatMap's empty-slot key), so a
+    // log storing it is malformed, like one repeating a token.
+    log.recordStore(0, 1, 100, 11);
+    log.recordStore(0, 2, 101, ~std::uint64_t{0});
+    nvm.write(100, 11);
+    EXPECT_EQ(check().message,
+              "reserved store token 18446744073709551615");
 }
 
 // --- violation classes the crash-state permuter (src/permute/) can
@@ -259,6 +284,51 @@ TEST_F(CheckerFixture, OutOfOrderWpqDrainViolation)
     // The in-order drain of the same three writes is legal.
     nvm.write(101, 22);
     EXPECT_TRUE(check().ok);
+}
+
+// --- the witness a failing verdict names follows a documented order
+// --- (checker.hh): ascending line address, committed epochs in
+// --- (thread, ts) order. Stores go into the log highest address first
+// --- so log order and address order disagree.
+
+TEST_F(CheckerFixture, MessageNamesLowestAlienLine)
+{
+    log.recordStore(0, 1, 700, 11);
+    log.recordStore(0, 1, 300, 22);
+    nvm.write(700, 99);
+    nvm.write(300, 98);
+    EXPECT_EQ(check().message, "line 300 holds alien value 98");
+}
+
+TEST_F(CheckerFixture, MessageNamesLowestViolatingLineAndLostWrite)
+{
+    // Epoch 1 lost both its writes (lines 900 and 500); epoch 2's
+    // values survived on lines 700 and 300, so both survivors have a
+    // non-durable ancestor. The message names survivor line 300 and,
+    // of epoch 1's two lost writes, line 500.
+    log.recordStore(0, 1, 900, 1);
+    log.recordStore(0, 1, 500, 2);
+    log.recordStore(0, 2, 700, 3);
+    log.recordStore(0, 2, 300, 4);
+    nvm.write(700, 3);
+    nvm.write(300, 4);
+    EXPECT_EQ(check().message,
+              "surviving value on line 300 (epoch t0,e2) has a "
+              "non-durable ancestor: epoch (t0,e1) write idx 0 to line "
+              "500 not durable (surviving idx -1)");
+}
+
+TEST_F(CheckerFixture, MessageNamesFirstCommittedEpochAndLowestLostLine)
+{
+    // Both threads' epoch 1 committed and lost writes; thread 0's is
+    // named, with the lower of its two lost lines.
+    log.recordStore(1, 1, 200, 5);
+    log.recordStore(0, 1, 900, 1);
+    log.recordStore(0, 1, 500, 2);
+    committed = {1, 1};
+    EXPECT_EQ(check().message,
+              "committed epoch (t0,e1) lost a write: epoch (t0,e1) write "
+              "idx 0 to line 500 not durable (surviving idx -1)");
 }
 
 TEST_F(CheckerFixture, TornLineValueIsAlien)

@@ -10,8 +10,10 @@
 #include <cstdint>
 #include <random>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "mem/nvm_contents.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/flat_map.hh"
@@ -455,6 +457,47 @@ TEST(FlatMapDeath, EmptyKeyCannotBeStored)
 {
     FlatMap<int> map;
     EXPECT_DEATH(map[FlatMap<int>::kEmptyKey] = 1, "~0");
+}
+
+TEST(FlatMap, FindOfEmptyKeyIsNull)
+{
+    // ~0 marks an empty slot, so a probe for it must not stop at the
+    // first empty slot and report that slot as a live entry.
+    constexpr std::uint64_t kEmpty = FlatMap<std::uint64_t>::kEmptyKey;
+    FlatMap<std::uint64_t> map;
+    EXPECT_EQ(map.find(kEmpty), nullptr);
+    map[5] = 7;
+    EXPECT_EQ(map.find(kEmpty), nullptr);
+    EXPECT_EQ(std::as_const(map).find(kEmpty), nullptr);
+    EXPECT_FALSE(map.erase(kEmpty));
+    EXPECT_EQ(map.size(), 1u);
+    ASSERT_NE(map.find(5), nullptr);
+    EXPECT_EQ(*map.find(5), 7u);
+
+    // The NVM image answers "was this line ever written" from find().
+    NvmContents nvm;
+    EXPECT_FALSE(nvm.present(kEmpty));
+    nvm.write(100, 11);
+    EXPECT_FALSE(nvm.present(kEmpty));
+    EXPECT_EQ(nvm.read(kEmpty), 0u);
+    EXPECT_TRUE(nvm.present(100));
+}
+
+TEST(FlatMap, ReserveKeepsEntriesAndSkipsRehash)
+{
+    FlatMap<std::uint64_t> map;
+    map.reserve(0);
+    EXPECT_EQ(map.capacity(), 0u);
+    map[3] = 30;
+    map.reserve(100);
+    const std::size_t cap = map.capacity();
+    EXPECT_GE(cap * 3, 100u * 4);
+    for (std::uint64_t k = 10; k < 109; ++k)
+        map[k] = k;
+    EXPECT_EQ(map.capacity(), cap) << "100 entries fit the reservation";
+    EXPECT_EQ(map.size(), 100u);
+    ASSERT_NE(map.find(3), nullptr);
+    EXPECT_EQ(*map.find(3), 30u);
 }
 
 TEST(Config, ModelNames)
