@@ -14,11 +14,13 @@
  *   --list-workloads  print the workload registry and exit
  *
  * BenchArgs::parseFlag parses them in one place; a bench with flags
- * of its own tries those first and falls back to it. A bench rejects
- * a common flag it has no use for rather than ignore it: media_sweep
- * takes --profiles instead of --media, serve_bench takes --scenario
- * and --list-scenarios instead of --workload and --list-workloads,
- * and fig13 runs only its own microbenchmark (no --workload).
+ * of its own tries those first and falls back to it. Every numeric
+ * value goes through parseUnsignedFlag, so a malformed one exits 2.
+ * A bench rejects a common flag it has no use for rather than ignore
+ * it: media_sweep takes --profiles instead of --media, serve_bench
+ * takes --scenario and --list-scenarios instead of --workload and
+ * --list-workloads, and fig13 runs only its own microbenchmark (no
+ * --workload).
  * splitList and parseModels parse the comma lists those flags take
  * (--models, --profiles, --scenario, --media-per-mc).
  *
@@ -35,6 +37,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -48,6 +51,25 @@
 
 namespace asap
 {
+
+/**
+ * Parse @p text, the value of the numeric flag @p flag, into @p field.
+ * A value tryParseUnsigned() rejects ("30x", "-1", " 5", or one the
+ * field cannot hold) is a usage error: exit 2.
+ */
+template <typename T>
+void
+parseUnsignedFlag(const char *flag, const char *text, T &field)
+{
+    if (tryParseUnsigned(text, field))
+        return;
+    std::fprintf(stderr, "error: %s wants an unsigned integer of at "
+                 "most %llu, not '%s'\n", flag,
+                 static_cast<unsigned long long>(
+                     std::numeric_limits<T>::max()),
+                 text);
+    std::exit(2);
+}
 
 /** Parsed bench command line. */
 struct BenchArgs
@@ -72,10 +94,9 @@ struct BenchArgs
         const char *arg = argv[i];
         const bool hasValue = i + 1 < argc;
         if (!std::strcmp(arg, "--ops") && hasValue) {
-            ops = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 0));
+            parseUnsignedFlag(arg, argv[++i], ops);
         } else if (!std::strcmp(arg, "--seed") && hasValue) {
-            seed = std::strtoull(argv[++i], nullptr, 0);
+            parseUnsignedFlag(arg, argv[++i], seed);
         } else if (!std::strcmp(arg, "--workload") && hasValue) {
             workload = argv[++i];
         } else if (!std::strcmp(arg, "--media") && hasValue) {
@@ -97,8 +118,7 @@ struct BenchArgs
                             w.description.c_str());
             std::exit(0);
         } else if (!std::strcmp(arg, "--jobs") && hasValue) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 0));
+            parseUnsignedFlag(arg, argv[++i], jobs);
         } else if (!std::strcmp(arg, "--json") && hasValue) {
             jsonPath = argv[++i];
         } else if (!std::strcmp(arg, "--profile")) {

@@ -97,7 +97,7 @@ parseCampaignArgs(JobKind kind, int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (!std::strcmp(arg, "--ticks"))
-            a.ticks = unsigned(std::strtoul(need(i), nullptr, 0)), ++i;
+            parseUnsignedFlag(arg, need(i), a.ticks), ++i;
         else if (!std::strcmp(arg, "--strategy"))
             a.strategy = need(i), ++i;
         else if (!std::strcmp(arg, "--list-strategies")) {
@@ -106,13 +106,13 @@ parseCampaignArgs(JobKind kind, int argc, char **argv)
             std::exit(0);
         }
         else if (!std::strcmp(arg, "--tick-seed"))
-            a.tickSeed = std::strtoull(need(i), nullptr, 0), ++i;
+            parseUnsignedFlag(arg, need(i), a.tickSeed), ++i;
         else if (!std::strcmp(arg, "--cores"))
-            a.cores = unsigned(std::strtoul(need(i), nullptr, 0)), ++i;
+            parseUnsignedFlag(arg, need(i), a.cores), ++i;
         else if (!std::strcmp(arg, "--models"))
             a.models = need(i), ++i;
         else if (a.permute() && !std::strcmp(arg, "--bound")) {
-            a.bound = std::strtoull(need(i), nullptr, 0), ++i;
+            parseUnsignedFlag(arg, need(i), a.bound), ++i;
             if (a.bound == 0) {
                 std::fprintf(stderr,
                              "error: --bound must be >= 1\n");
@@ -120,7 +120,7 @@ parseCampaignArgs(JobKind kind, int argc, char **argv)
             }
         }
         else if (a.permute() && !std::strcmp(arg, "--sample-seed"))
-            a.sampleSeed = std::strtoull(need(i), nullptr, 0), ++i;
+            parseUnsignedFlag(arg, need(i), a.sampleSeed), ++i;
         else if (a.permute() && !std::strcmp(arg, "--inject-fault")) {
             a.fault = need(i), ++i;
             permute::FaultMode fm;
@@ -144,8 +144,7 @@ parseCampaignArgs(JobKind kind, int argc, char **argv)
             }
         }
         else if (a.permute() && !std::strcmp(arg, "--permute-jobs"))
-            a.permuteThreads =
-                unsigned(std::strtoul(need(i), nullptr, 0)), ++i;
+            parseUnsignedFlag(arg, need(i), a.permuteThreads), ++i;
         else if (a.permute() && !std::strcmp(arg, "--state")) {
             a.state = need(i), ++i;
             std::uint64_t mask;
@@ -163,7 +162,7 @@ parseCampaignArgs(JobKind kind, int argc, char **argv)
         else if (!std::strcmp(arg, "--pm"))
             a.pm = need(i), ++i;
         else if (!std::strcmp(arg, "--crash-tick"))
-            a.crashTick = std::strtoull(need(i), nullptr, 0), ++i;
+            parseUnsignedFlag(arg, need(i), a.crashTick), ++i;
         else if (!a.bench.parseFlag(argc, argv, i))
             campaignUsage(kind, argv[0]);
     }

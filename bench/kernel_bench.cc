@@ -112,12 +112,13 @@ main(int argc, char **argv)
     std::string only;
     std::string jsonPath = "BENCH_kernel.json";
     for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--ops") && i + 1 < argc) {
-            ops = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 0));
-        } else if (!std::strcmp(argv[i], "--reps") && i + 1 < argc) {
-            reps = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 0));
+        // A malformed number falls through to the usage error.
+        if (!std::strcmp(argv[i], "--ops") && i + 1 < argc &&
+            tryParseUnsigned(argv[i + 1], ops)) {
+            ++i;
+        } else if (!std::strcmp(argv[i], "--reps") && i + 1 < argc &&
+                   tryParseUnsigned(argv[i + 1], reps)) {
+            ++i;
         } else if (!std::strcmp(argv[i], "--workload") && i + 1 < argc) {
             only = argv[++i];
         } else if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {

@@ -56,7 +56,7 @@ parseArgs(int argc, char **argv)
         else if (!std::strcmp(arg, "--models"))
             a.models = need(i), ++i;
         else if (!std::strcmp(arg, "--cores"))
-            a.cores = unsigned(std::strtoul(need(i), nullptr, 0)), ++i;
+            parseUnsignedFlag(arg, need(i), a.cores), ++i;
         else if (!std::strcmp(arg, "--media"))
             usage(argv[0]); // the media axis is --profiles
         else if (!a.bench.parseFlag(argc, argv, i))

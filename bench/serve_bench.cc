@@ -68,15 +68,13 @@ parseArgs(int argc, char **argv)
         else if (!std::strcmp(arg, "--models"))
             a.models = need(i), ++i;
         else if (!std::strcmp(arg, "--cores"))
-            a.cores = unsigned(std::strtoul(need(i), nullptr, 0)), ++i;
+            parseUnsignedFlag(arg, need(i), a.cores), ++i;
         else if (!std::strcmp(arg, "--mcs"))
-            a.mcs = unsigned(std::strtoul(need(i), nullptr, 0)), ++i;
+            parseUnsignedFlag(arg, need(i), a.mcs), ++i;
         else if (!std::strcmp(arg, "--keyspace"))
-            a.keySpace = unsigned(std::strtoul(need(i), nullptr, 0)),
-            ++i;
+            parseUnsignedFlag(arg, need(i), a.keySpace), ++i;
         else if (!std::strcmp(arg, "--update-pct"))
-            a.updatePct = unsigned(std::strtoul(need(i), nullptr, 0)),
-            ++i;
+            parseUnsignedFlag(arg, need(i), a.updatePct), ++i;
         else if (!std::strcmp(arg, "--media-per-mc"))
             a.mediaPerMc = need(i), ++i;
         else if (!std::strcmp(arg, "--list-scenarios")) {

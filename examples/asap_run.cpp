@@ -31,6 +31,7 @@
 #include "pm/trace_io.hh"
 #include "serve/op_stream.hh"
 #include "serve/scenario.hh"
+#include "sim/log.hh"
 #include "workloads/registry.hh"
 
 using namespace asap;
@@ -56,11 +57,13 @@ main(int argc, char **argv)
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("ops=", 0) == 0) {
-            params.opsPerThread = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 4, nullptr, 0));
+            fatal_if(!tryParseUnsigned(arg.substr(4), params.opsPerThread),
+                     "ops= wants an unsigned integer, not '",
+                     arg.substr(4), "'");
         } else if (arg.rfind("updatePct=", 0) == 0) {
-            params.updatePct = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 10, nullptr, 0));
+            fatal_if(!tryParseUnsigned(arg.substr(10), params.updatePct),
+                     "updatePct= wants an unsigned integer, not '",
+                     arg.substr(10), "'");
         } else if (arg.rfind("saveTrace=", 0) == 0) {
             save_path = arg.substr(10);
         } else if (arg.rfind("loadTrace=", 0) == 0) {

@@ -234,5 +234,18 @@ expect_usage_error crash_campaign --bound 5
 for bench in crash_campaign crash_permute media_sweep serve_bench; do
     expect_usage_error "$bench" --models bogus_rp
 done
+# A numeric flag must be one whole unsigned number: these values were
+# once read as 30 and 4 (harmless if misparsed, so safe to try).
+expect_usage_error crash_campaign --ops 30x
+expect_usage_error fig08_performance --jobs 4x
 
-echo "check.sh: -Werror build, tests, ASan+UBSan tests, parallel sweep, crash campaign, crash-state permuter, engine parity, --repro replay, media sweep, trace replay, kernel bench, warm rerun, serving scenarios, heterogeneous-media serving, common bench flags and usage errors all passed"
+# The benchmark's self-test (perfbench/, a Release build of its own):
+# every workload at a tiny size, traced and untraced, at 1 and nproc
+# workers. Its crash workload is the one sweep here that checks each
+# crash point with both a Crash and a Permute job, so this also runs
+# the engine's shared-simulation path against the benchmark's digest,
+# cold-cache accounting and artifact row checks.
+CARGO_TARGET_DIR="$BUILD/perfbench-selftest" python3 perfbench/run.py \
+    --self-test
+
+echo "check.sh: -Werror build, tests, ASan+UBSan tests, parallel sweep, crash campaign, crash-state permuter, engine parity, --repro replay, media sweep, trace replay, kernel bench, warm rerun, serving scenarios, heterogeneous-media serving, common bench flags, usage errors and the benchmark self-test all passed"

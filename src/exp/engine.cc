@@ -79,38 +79,30 @@ SweepResult::find(const std::string &workload, ModelKind model,
 namespace
 {
 
-/**
- * Simulate one job (no cache, no pool): run or crash-inject as the
- * kind demands and return the tagged payload. runJobs() wraps it in
- * dedup + cache + assembly.
- */
-CachedResult
-executeJob(const ExperimentJob &job)
+/** What a Crash or Permute job checks at its crash point. */
+CrashCheck
+crashCheck(const ExperimentJob &job)
 {
-    CachedResult e;
-    e.kind = job.kind;
-    if (job.kind == JobKind::Crash) {
-        CrashRunResult cr = runCrashExperiment(job.workload, job.cfg,
-                                               job.params,
-                                               job.crashTick);
-        e.run = std::move(cr.run);
-        e.verdict = std::move(cr.verdict);
-    } else if (job.kind == JobKind::Permute) {
-        PermuteSpec spec;
-        spec.bound = job.permuteBound;
-        spec.sampleSeed = job.permuteSeed;
-        spec.fault = job.permuteFault;
-        spec.onlyState = job.permuteState;
-        spec.engine = job.permuteEngine;
-        spec.threads = job.permuteThreads;
-        CrashRunResult cr = runPermuteExperiment(
-            job.workload, job.cfg, job.params, job.crashTick, spec);
-        e.run = std::move(cr.run);
-        e.verdict = std::move(cr.verdict);
-    } else {
-        e.run = runExperiment(job.workload, job.cfg, job.params);
-    }
-    return e;
+    if (job.kind != JobKind::Permute)
+        return {};
+    PermuteSpec spec;
+    spec.bound = job.permuteBound;
+    spec.sampleSeed = job.permuteSeed;
+    spec.fault = job.permuteFault;
+    spec.onlyState = job.permuteState;
+    spec.engine = job.permuteEngine;
+    spec.threads = job.permuteThreads;
+    return spec;
+}
+
+/** Key of the crash point a Crash or Permute job checks: the job
+ *  re-kinded as Crash keys the simulation without the permute knobs. */
+std::string
+crashPointKey(const ExperimentJob &job)
+{
+    ExperimentJob point = job;
+    point.kind = JobKind::Crash;
+    return jobKey(point);
 }
 
 } // namespace
@@ -154,14 +146,50 @@ runJobs(std::vector<ExperimentJob> jobs, const RunOptions &opt)
             toRun.push_back(i);
         }
     }
+    // One task per Run leader and one per crash point: the Crash and
+    // Permute leaders checking one point share its simulation.
+    std::vector<std::vector<std::size_t>> tasks;
+    std::unordered_map<std::string, std::size_t> taskOfPoint;
+    for (std::size_t i : toRun) {
+        if (sr.jobs[i].kind == JobKind::Run) {
+            tasks.push_back({i});
+            continue;
+        }
+        const auto [it, fresh] =
+            taskOfPoint.emplace(crashPointKey(sr.jobs[i]), tasks.size());
+        if (fresh)
+            tasks.emplace_back();
+        tasks[it->second].push_back(i);
+    }
+    auto store = [&sr, &cache, &keys](std::size_t i, CachedResult e) {
+        cache.insert(keys[i], e);
+        sr.results[i] = std::move(e.run);
+        sr.verdicts[i] = std::move(e.verdict);
+    };
     if (!toRun.empty()) {
         ThreadPool pool(opt.jobs);
-        for (std::size_t i : toRun) {
-            pool.submit([&sr, &cache, &keys, i] {
-                CachedResult e = executeJob(sr.jobs[i]);
-                cache.insert(keys[i], e);
-                sr.results[i] = std::move(e.run);
-                sr.verdicts[i] = std::move(e.verdict);
+        for (const std::vector<std::size_t> &task : tasks) {
+            pool.submit([&sr, &store, &task] {
+                const ExperimentJob &job = sr.jobs[task.front()];
+                if (job.kind == JobKind::Run) {
+                    store(task.front(),
+                          {JobKind::Run,
+                           runExperiment(job.workload, job.cfg,
+                                         job.params),
+                           {}});
+                    return;
+                }
+                std::vector<CrashCheck> checks;
+                for (std::size_t i : task)
+                    checks.push_back(crashCheck(sr.jobs[i]));
+                std::vector<CrashRunResult> out =
+                    runCrashPoint(job.workload, job.cfg, job.params,
+                                  job.crashTick, checks);
+                for (std::size_t k = 0; k < task.size(); ++k) {
+                    store(task[k], {sr.jobs[task[k]].kind,
+                                    std::move(out[k].run),
+                                    std::move(out[k].verdict)});
+                }
             });
         }
         pool.wait();

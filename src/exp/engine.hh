@@ -8,6 +8,10 @@
  *    count — output is byte-identical for --jobs 1 and --jobs N;
  *  - each distinct configuration simulates at most once per process
  *    (duplicates within a sweep and across sweeps hit the cache);
+ *  - each crash point simulates at most once per sweep: the Crash
+ *    and Permute jobs that check one point (same configuration and
+ *    crash tick) share one crashed system and run their checks on it
+ *    in job order, each result cached under its own job's key;
  *  - workers never interleave partial log lines (sim/log.cc routes
  *    every message through one locked write path).
  */
@@ -46,7 +50,9 @@ struct SweepResult
      *  meaningless) for Run jobs — check jobs[i].kind. */
     std::vector<CrashVerdict> verdicts;
 
-    std::size_t uniqueRuns = 0;   //!< simulations actually executed
+    /** Jobs executed, not served from the cache or copied from a
+     *  duplicate. */
+    std::size_t uniqueRuns = 0;
     std::uint64_t cacheHits = 0;  //!< jobs served without simulating
     std::uint64_t diskHits = 0;   //!< subset of cacheHits from disk
     std::uint64_t traceHits = 0;  //!< simulations reusing a memoised trace

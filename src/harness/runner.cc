@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -232,44 +231,53 @@ extractResult(System &sys, const std::string &workload,
     return r;
 }
 
-/**
- * The part every crash job shares: build the system, crash it at
- * @p crash_tick under the simulate timer (@p at_crash runs at the
- * instant of failure, see System::crashAt), and fill @p out's stats
- * and the verdict fields that do not depend on the checker. Returns
- * the crashed system for the caller's check.
- */
-std::unique_ptr<System>
-crashJob(const std::string &workload, const SimConfig &cfg,
-         const WorkloadParams &p, Tick crash_tick,
-         const std::function<void(System &)> &at_crash,
-         CrashRunResult &out)
+/** Parse @p spec's names into permuter options (fatal on a bad one). */
+permute::PermuteOptions
+permuteOptions(const PermuteSpec &spec)
 {
-    auto sys = std::make_unique<System>(cfg, /*keep_run_log=*/true);
-    sys->loadTrace(obtainJobTrace(workload, cfg, p));
-    const std::uint64_t t0 = hostNowNs();
-    sys->crashAt(crash_tick, [&at_crash, &sys] {
-        if (at_crash)
-            at_crash(*sys);
-    });
-    const std::uint64_t simNs = hostNowNs() - t0;
-    profSimulateNs.fetch_add(simNs, std::memory_order_relaxed);
-    profSimRuns.fetch_add(1, std::memory_order_relaxed);
+    permute::PermuteOptions opt;
+    opt.bound = spec.bound == 0 ? 1 : spec.bound;
+    opt.sampleSeed = spec.sampleSeed;
+    fatal_if(!permute::parsePermuteFault(spec.fault, opt.fault),
+             "unknown permute fault '", spec.fault, "' (valid: ",
+             permute::permuteFaultNames(), ")");
+    if (!spec.onlyState.empty()) {
+        opt.haveOnlyMask = true;
+        fatal_if(!permute::maskFromHex(spec.onlyState, opt.onlyMask),
+                 "bad permute state mask '", spec.onlyState,
+                 "' (expect hex, e.g. from a --repro line)");
+    }
+    fatal_if(!permute::parsePermuteEngine(spec.engine, opt.engine),
+             "unknown permute engine '", spec.engine, "' (valid: ",
+             permute::permuteEngineNames(), ")");
+    opt.threads = spec.threads;
+    return opt;
+}
 
-    out.run = extractResult(*sys, workload, cfg);
-    out.run.hostNs = simNs;
-    CrashVerdict &v = out.verdict;
-    v.crashTick = crash_tick;
-    v.actualTick = sys->runTicks();
-    v.committedUpTo = sys->committedUpTo();
-    v.storesLogged = sys->runLog().allStores().size();
-    sys->nvm().forEach([&v](std::uint64_t, std::uint64_t value) {
-        if (value != 0)
-            ++v.linesSurvived;
-    });
-    v.undoReplayed = sys->stats().get("mc.undoRewindWrites");
-    v.adrDrainWrites = sys->stats().get("mc.adrDrainWrites");
-    return sys;
+/** The live persist-path state at the instant of failure: record
+ *  views and durable line values, which the canonical crash path that
+ *  runs right after consumes (erases, drains, rewinds). Reads only. */
+permute::PermuteSnapshot
+harvestSnapshot(System &sys, const SimConfig &cfg)
+{
+    permute::PermuteSnapshot snap;
+    for (unsigned i = 0; i < cfg.numMCs; ++i) {
+        MemoryController &mc = sys.mc(i);
+        permute::McSnapshot ms;
+        ms.mc = i;
+        if (const RecoveryPolicy *pol = mc.policy())
+            pol->exportRecords(ms.undos, ms.delays);
+        ms.wpqLines = mc.wpqSnapshot().size();
+        for (const UndoRecordView &u : ms.undos)
+            snap.durableAtCrash[u.line] = mc.durableValue(u.line);
+        for (const DelayRecordView &d : ms.delays)
+            snap.durableAtCrash.emplace(d.line, mc.durableValue(d.line));
+        snap.mcs.push_back(std::move(ms));
+    }
+    for (std::uint16_t t = 0; t < cfg.numCores; ++t)
+        for (std::uint64_t e : sys.model(t).commitInFlightEpochs())
+            snap.inFlight.emplace_back(t, e);
+    return snap;
 }
 
 } // namespace
@@ -389,26 +397,93 @@ runExperiment(const std::string &workload, ModelKind model,
     return runExperiment(workload, cfg, p);
 }
 
+std::vector<CrashRunResult>
+runCrashPoint(const std::string &workload, const SimConfig &cfg,
+              const WorkloadParams &p, Tick crash_tick,
+              const std::vector<CrashCheck> &checks)
+{
+    // Parse every permute spec before simulating: a bad name is fatal.
+    std::vector<permute::PermuteOptions> opts(checks.size());
+    bool harvest = false;
+    for (std::size_t k = 0; k < checks.size(); ++k) {
+        if (checks[k]) {
+            opts[k] = permuteOptions(*checks[k]);
+            harvest = true;
+        }
+    }
+
+    System sys(cfg, /*keep_run_log=*/true);
+    sys.loadTrace(obtainJobTrace(workload, cfg, p));
+    permute::PermuteSnapshot snap;
+    const std::uint64_t t0 = hostNowNs();
+    sys.crashAt(crash_tick, [&] {
+        if (harvest)
+            snap = harvestSnapshot(sys, cfg);
+    });
+    const std::uint64_t simNs = hostNowNs() - t0;
+    profSimulateNs.fetch_add(simNs, std::memory_order_relaxed);
+    profSimRuns.fetch_add(1, std::memory_order_relaxed);
+
+    // What every check's result shares: the crashed run's stats and
+    // the verdict fields that do not depend on the checker.
+    CrashRunResult point;
+    point.run = extractResult(sys, workload, cfg);
+    point.run.hostNs = simNs;
+    CrashVerdict &pv = point.verdict;
+    pv.crashTick = crash_tick;
+    pv.actualTick = sys.runTicks();
+    pv.committedUpTo = sys.committedUpTo();
+    pv.storesLogged = sys.runLog().allStores().size();
+    sys.nvm().forEach([&pv](std::uint64_t, std::uint64_t value) {
+        if (value != 0)
+            ++pv.linesSurvived;
+    });
+    pv.undoReplayed = sys.stats().get("mc.undoRewindWrites");
+    pv.adrDrainWrites = sys.stats().get("mc.adrDrainWrites");
+
+    std::vector<CrashRunResult> out(checks.size(), point);
+    for (std::size_t k = 0; k < checks.size(); ++k) {
+        CrashVerdict &v = out[k].verdict;
+        const std::uint64_t c0 = hostNowNs();
+        if (!checks[k]) {
+            // Through the shared index: a permute check of this point
+            // (same log) reuses the build instead of re-indexing.
+            const CheckResult check =
+                sharedCheckerIndex(sys.runLog())
+                    ->check(NvmView(sys.nvm()), v.committedUpTo);
+            profCheckNs.fetch_add(hostNowNs() - c0,
+                                  std::memory_order_relaxed);
+            v.consistent = check.ok;
+            v.message = check.message;
+            continue;
+        }
+        const permute::PermuteReport rep = permute::permuteAndCheck(
+            snap, opts[k], sys.nvm(), sys.runLog(), v.committedUpTo);
+        const std::uint64_t checkNs = hostNowNs() - c0;
+        profCheckNs.fetch_add(checkNs, std::memory_order_relaxed);
+        v.permuteNs = checkNs;
+
+        v.statesChecked = rep.statesChecked;
+        v.statesReachable = rep.statesReachable;
+        v.distinctStates = rep.distinctStates;
+        v.permuteAtoms = rep.atoms;
+        v.truncated = rep.truncated || rep.atomsTruncated;
+        v.inconsistentStates = rep.inconsistentStates;
+        v.consistent = rep.inconsistentStates == 0;
+        if (rep.haveFirstBad) {
+            v.firstBadState = permute::maskToHex(rep.firstBadMask);
+            v.message = "state " + v.firstBadState + ": " +
+                        rep.firstBadMessage;
+        }
+    }
+    return out;
+}
+
 CrashRunResult
 runCrashExperiment(const std::string &workload, const SimConfig &cfg,
                    const WorkloadParams &p, Tick crash_tick)
 {
-    CrashRunResult out;
-    const std::unique_ptr<System> sys =
-        crashJob(workload, cfg, p, crash_tick, {}, out);
-    CrashVerdict &v = out.verdict;
-
-    // Check through the shared index: a permute job probing the same
-    // tick (same log) reuses this build instead of re-indexing.
-    const std::uint64_t c0 = hostNowNs();
-    const std::shared_ptr<const CheckerIndex> index =
-        sharedCheckerIndex(sys->runLog());
-    const CheckResult check =
-        index->check(NvmView(sys->nvm()), v.committedUpTo);
-    profCheckNs.fetch_add(hostNowNs() - c0, std::memory_order_relaxed);
-    v.consistent = check.ok;
-    v.message = check.message;
-    return out;
+    return runCrashPoint(workload, cfg, p, crash_tick, {CrashCheck{}})[0];
 }
 
 CrashRunResult
@@ -416,72 +491,7 @@ runPermuteExperiment(const std::string &workload, const SimConfig &cfg,
                      const WorkloadParams &p, Tick crash_tick,
                      const PermuteSpec &spec)
 {
-    permute::PermuteOptions opt;
-    opt.bound = spec.bound == 0 ? 1 : spec.bound;
-    opt.sampleSeed = spec.sampleSeed;
-    fatal_if(!permute::parsePermuteFault(spec.fault, opt.fault),
-             "unknown permute fault '", spec.fault, "' (valid: ",
-             permute::permuteFaultNames(), ")");
-    if (!spec.onlyState.empty()) {
-        opt.haveOnlyMask = true;
-        fatal_if(!permute::maskFromHex(spec.onlyState, opt.onlyMask),
-                 "bad permute state mask '", spec.onlyState,
-                 "' (expect hex, e.g. from a --repro line)");
-    }
-    fatal_if(!permute::parsePermuteEngine(spec.engine, opt.engine),
-             "unknown permute engine '", spec.engine, "' (valid: ",
-             permute::permuteEngineNames(), ")");
-    opt.threads = spec.threads;
-
-    // Harvest the live persist-path state at the instant of failure:
-    // record views and durable line values are consumed (erased,
-    // drained, rewound) by the canonical crash path that runs right
-    // after this hook.
-    permute::PermuteSnapshot snap;
-    auto harvest = [&snap, &cfg](System &sys) {
-        for (unsigned i = 0; i < cfg.numMCs; ++i) {
-            MemoryController &mc = sys.mc(i);
-            permute::McSnapshot ms;
-            ms.mc = i;
-            if (const RecoveryPolicy *pol = mc.policy())
-                pol->exportRecords(ms.undos, ms.delays);
-            ms.wpqLines = mc.wpqSnapshot().size();
-            for (const UndoRecordView &u : ms.undos)
-                snap.durableAtCrash[u.line] = mc.durableValue(u.line);
-            for (const DelayRecordView &d : ms.delays)
-                snap.durableAtCrash.emplace(d.line,
-                                            mc.durableValue(d.line));
-            snap.mcs.push_back(std::move(ms));
-        }
-        for (std::uint16_t t = 0; t < cfg.numCores; ++t)
-            for (std::uint64_t e : sys.model(t).commitInFlightEpochs())
-                snap.inFlight.emplace_back(t, e);
-    };
-    CrashRunResult out;
-    const std::unique_ptr<System> sys =
-        crashJob(workload, cfg, p, crash_tick, harvest, out);
-    CrashVerdict &v = out.verdict;
-
-    const std::uint64_t c0 = hostNowNs();
-    const permute::PermuteReport rep = permute::permuteAndCheck(
-        snap, opt, sys->nvm(), sys->runLog(), v.committedUpTo);
-    const std::uint64_t checkNs = hostNowNs() - c0;
-    profCheckNs.fetch_add(checkNs, std::memory_order_relaxed);
-    v.permuteNs = checkNs;
-
-    v.statesChecked = rep.statesChecked;
-    v.statesReachable = rep.statesReachable;
-    v.distinctStates = rep.distinctStates;
-    v.permuteAtoms = rep.atoms;
-    v.truncated = rep.truncated || rep.atomsTruncated;
-    v.inconsistentStates = rep.inconsistentStates;
-    v.consistent = rep.inconsistentStates == 0;
-    if (rep.haveFirstBad) {
-        v.firstBadState = permute::maskToHex(rep.firstBadMask);
-        v.message = "state " + v.firstBadState + ": " +
-                    rep.firstBadMessage;
-    }
-    return out;
+    return runCrashPoint(workload, cfg, p, crash_tick, {spec})[0];
 }
 
 } // namespace asap

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -225,7 +226,9 @@ struct HostProfile
     std::uint64_t traceLoadNs = 0; //!< loading TraceSets from disk
     std::uint64_t simulateNs = 0;  //!< System::run / crashAt
     std::uint64_t checkNs = 0;     //!< recovery-consistency checking
-    std::uint64_t simRuns = 0;     //!< simulations measured
+    /** Simulations measured; a crash point counts once, however
+     *  many checks share it. */
+    std::uint64_t simRuns = 0;
 };
 
 /** Snapshot of the process-wide phase timers. */
@@ -294,16 +297,6 @@ struct CrashRunResult
     CrashVerdict verdict;
 };
 
-/**
- * Run @p workload under @p cfg, inject a power failure at
- * @p crash_tick, drain the ADR domain, rewind speculation and check
- * the surviving NVM contents against the run log.
- */
-CrashRunResult runCrashExperiment(const std::string &workload,
-                                  const SimConfig &cfg,
-                                  const WorkloadParams &p,
-                                  Tick crash_tick);
-
 /** Knobs for one crash-state permutation experiment. */
 struct PermuteSpec
 {
@@ -325,11 +318,44 @@ struct PermuteSpec
 };
 
 /**
- * Like runCrashExperiment, but instead of checking only the canonical
- * post-crash state, snapshot the persist-path state at the crash
- * instant and run the checker over every reachable post-crash NVM
- * state (src/permute). The verdict's consistency covers all checked
- * states; coverage lands in the statesChecked/statesReachable fields.
+ * One check of a crashed system. Empty: check the canonical
+ * post-crash NVM state (a Crash job). A PermuteSpec: check every
+ * reachable post-crash state under its knobs (a Permute job).
+ */
+using CrashCheck = std::optional<PermuteSpec>;
+
+/**
+ * Check one crash point: run @p workload under @p cfg, inject a power
+ * failure at @p crash_tick (drain the ADR domain, rewind speculation)
+ * once, then run each of @p checks in order against the surviving NVM
+ * contents and the run log. The permuter's crash-instant snapshot is
+ * harvested only when some check needs it; it only reads the system,
+ * so the crash, and every verdict, is the same as each check's own
+ * simulation would give. Checks do not see each other: the naive
+ * permute engine restores the NVM image it mutates.
+ *
+ * @return one result per check, in order. Each carries the crashed
+ *         run's RunResult (hostNs included: the one simulation
+ *         behind every verdict) and a verdict with the same crash
+ *         fields and its own check's outcome.
+ */
+std::vector<CrashRunResult> runCrashPoint(const std::string &workload,
+                                          const SimConfig &cfg,
+                                          const WorkloadParams &p,
+                                          Tick crash_tick,
+                                          const std::vector<CrashCheck>
+                                              &checks);
+
+/** runCrashPoint with the single canonical check. */
+CrashRunResult runCrashExperiment(const std::string &workload,
+                                  const SimConfig &cfg,
+                                  const WorkloadParams &p,
+                                  Tick crash_tick);
+
+/**
+ * runCrashPoint with the single permute check @p spec: the verdict's
+ * consistency covers all checked states; coverage lands in the
+ * statesChecked/statesReachable fields.
  */
 CrashRunResult runPermuteExperiment(const std::string &workload,
                                     const SimConfig &cfg,

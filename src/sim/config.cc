@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
-#include <type_traits>
 
 #include "sim/log.hh"
 
@@ -15,27 +14,15 @@ namespace asap
 namespace
 {
 
-/**
- * Parse @p val (decimal, 0x hex or 0 octal) into the unsigned @p field,
- * fatal unless all of @p val is one number that fits the field.
- */
+/** Parse @p val into the unsigned @p field, fatal unless
+ *  tryParseUnsigned() accepts it. */
 template <typename T>
 void
 parseValue(const std::string &key, const std::string &val, T &field)
 {
-    static_assert(std::is_unsigned_v<T>);
-    // strtoull skips blanks and takes a sign (negating the value), so
-    // the value must start with a digit.
-    const bool starts_number =
-        !val.empty() && std::isdigit(static_cast<unsigned char>(val[0]));
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(val.c_str(), &end, 0);
-    fatal_if(!starts_number || end != val.c_str() + val.size() ||
-                 errno == ERANGE || v > std::numeric_limits<T>::max(),
-             "config key '", key, "' wants an unsigned integer of at most ",
+    fatal_if(!tryParseUnsigned(val, field), "config key '", key,
+             "' wants an unsigned integer of at most ",
              std::numeric_limits<T>::max(), ", not '", val, "'");
-    field = static_cast<T>(v);
 }
 
 /** As above for a non-negative, finite real (@p field). */
@@ -56,6 +43,21 @@ parseValue(const std::string &key, const std::string &val, double &field)
 }
 
 } // namespace
+
+bool
+tryParseUnsigned(const std::string &text, std::uint64_t max,
+                 std::uint64_t &out)
+{
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long v = std::strtoull(text.c_str(), &end, 0);
+    if (end != text.c_str() + text.size() || errno == ERANGE || v > max)
+        return false;
+    out = v;
+    return true;
+}
 
 bool
 tryParseModelKind(const std::string &name, ModelKind &out)

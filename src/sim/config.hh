@@ -14,7 +14,9 @@
 #define ASAP_SIM_CONFIG_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <type_traits>
 
 #include "sim/ticks.hh"
 
@@ -49,6 +51,29 @@ bool tryParseModelKind(const std::string &name, ModelKind &out);
  *  @return false, leaving @p out alone, on anything else */
 bool tryParsePersistencyModel(const std::string &name,
                               PersistencyModel &out);
+
+/**
+ * Parse @p text as one unsigned integer (decimal, 0x hex or 0 octal)
+ * of at most @p max. The text must start with a digit (no blanks, no
+ * sign: strtoull would negate "-1" into a huge value), all of it must
+ * be the number, and the number must fit.
+ * @return false, leaving @p out alone, otherwise
+ */
+bool tryParseUnsigned(const std::string &text, std::uint64_t max,
+                      std::uint64_t &out);
+
+/** tryParseUnsigned() into an unsigned field of any width. */
+template <typename T>
+bool
+tryParseUnsigned(const std::string &text, T &out)
+{
+    static_assert(std::is_unsigned_v<T>);
+    std::uint64_t v = 0;
+    if (!tryParseUnsigned(text, std::numeric_limits<T>::max(), v))
+        return false;
+    out = static_cast<T>(v);
+    return true;
+}
 
 /** tryParseModelKind(), fatal on an unknown name. */
 ModelKind parseModelKind(const std::string &name);

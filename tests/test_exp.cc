@@ -475,6 +475,87 @@ TEST(Engine, TraceMemoizationCountsHitsAndMisses)
     EXPECT_GE(stats.misses, 1u);
 }
 
+/** The entry runJobs caches for job @p i of @p sr. */
+std::string
+entryOf(const SweepResult &sr, std::size_t i)
+{
+    CachedResult e;
+    e.kind = sr.jobs[i].kind;
+    e.run = sr.results[i];
+    e.verdict = sr.verdicts[i];
+    return serializeEntry(e);
+}
+
+TEST(Engine, CrashPointSharesOneSimulation)
+{
+    setLogQuiet(true);
+    SimConfig cfg;
+    cfg.model = ModelKind::Asap;
+    cfg.persistency = PersistencyModel::Epoch;
+    cfg.numCores = 4;
+    WorkloadParams p;
+    p.opsPerThread = 80;
+    p.seed = 7;
+    auto sweep = [](std::vector<ExperimentJob> jobs, ResultCache &cache) {
+        RunOptions opt;
+        opt.jobs = 2;
+        opt.cache = &cache;
+        return runJobs(std::move(jobs), opt);
+    };
+
+    std::uint64_t dropUndoBad = 0;
+    for (Tick tick : {6000u, 15000u, 30000u}) {
+        SCOPED_TRACE("tick " + std::to_string(tick));
+        // The naive engine mutates the shared NVM image and restores
+        // it, so it goes first: the checks after it share that image.
+        JobSet set;
+        set.addPermute("queue", cfg, p, tick, 4096, 1, "drop-undo", "",
+                       "naive");
+        set.addCrash("queue", cfg, p, tick);
+        set.addPermute("queue", cfg, p, tick, 4096, 1);
+
+        ResultCache cache;
+        const std::uint64_t before = hostProfile().simRuns;
+        const SweepResult grouped = sweep(set.jobs(), cache);
+        EXPECT_EQ(hostProfile().simRuns - before, 1u);
+        EXPECT_EQ(grouped.uniqueRuns, 3u);
+        EXPECT_EQ(grouped.cacheHits, 0u);
+        dropUndoBad += grouped.verdicts[0].inconsistentStates;
+
+        // Same bytes as each job simulated in a sweep of its own.
+        for (std::size_t i = 0; i < set.size(); ++i) {
+            ResultCache own;
+            const SweepResult alone = sweep({set.jobs()[i]}, own);
+            EXPECT_EQ(entryOf(grouped, i), entryOf(alone, 0))
+                << "job " << i;
+        }
+
+        // The check order within the point does not matter.
+        ResultCache reversedCache;
+        const SweepResult reversed = sweep(
+            {set.jobs().rbegin(), set.jobs().rend()}, reversedCache);
+        for (std::size_t i = 0; i < set.size(); ++i)
+            EXPECT_EQ(entryOf(reversed, set.size() - 1 - i),
+                      entryOf(grouped, i))
+                << "job " << i;
+
+        // With the Crash job cached, the two Permute jobs still share
+        // one simulation.
+        ResultCache warm;
+        (void)sweep({set.jobs()[1]}, warm);
+        const std::uint64_t mid = hostProfile().simRuns;
+        const SweepResult rest = sweep(set.jobs(), warm);
+        EXPECT_EQ(hostProfile().simRuns - mid, 1u);
+        EXPECT_EQ(rest.uniqueRuns, 2u);
+        EXPECT_EQ(rest.cacheHits, 1u);
+        for (std::size_t i = 0; i < set.size(); ++i)
+            EXPECT_EQ(entryOf(rest, i), entryOf(grouped, i))
+                << "job " << i;
+    }
+    // The naive drop-undo check did find (and revert) bad states.
+    EXPECT_GT(dropUndoBad, 0u);
+}
+
 TEST(Engine, FindLocatesResultsByTuple)
 {
     setLogQuiet(true);

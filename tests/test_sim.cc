@@ -306,6 +306,27 @@ TEST(Config, OverrideParsesKeys)
     EXPECT_EQ(cfg.rtEntries, 64u);
 }
 
+TEST(Config, TryParseUnsignedChecksTheWholeValue)
+{
+    // Config keys and every bench's numeric flags parse through this.
+    std::uint32_t narrow = 77;
+    for (const char *bad : {"", "12x", "-1", " 5", "4294967296", "+3"}) {
+        EXPECT_FALSE(tryParseUnsigned(bad, narrow)) << '"' << bad << '"';
+        EXPECT_EQ(narrow, 77u) << '"' << bad << '"';
+    }
+    EXPECT_TRUE(tryParseUnsigned("0x10", narrow));
+    EXPECT_EQ(narrow, 16u);
+    EXPECT_TRUE(tryParseUnsigned("4294967295", narrow));
+    EXPECT_EQ(narrow, 4294967295u);
+
+    std::uint64_t wide = 0;
+    EXPECT_TRUE(tryParseUnsigned("4294967296", wide));
+    EXPECT_EQ(wide, 4294967296u);
+    EXPECT_FALSE(tryParseUnsigned("18446744073709551616", wide));
+    EXPECT_TRUE(tryParseUnsigned("0", wide));
+    EXPECT_EQ(wide, 0u);
+}
+
 TEST(ConfigDeath, UnknownKeyIsFatal)
 {
     SimConfig cfg;
